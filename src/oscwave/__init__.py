@@ -63,7 +63,6 @@ from .oscillator import (
     HEAT_KERNEL_VARIANTS,
     KernelTailWarning,
     OscillatorParams,
-    WAVE_FORMS,
     heat_kernel,
     heat_ho_kernel_route,
     heat_ho_spectral_route,
@@ -97,7 +96,6 @@ __all__ = [
     "SpectralFunction",
     "UEvalPolicy",
     "VerificationReport",
-    "WAVE_FORMS",
     "apply_T",
     "apply_T_inverse",
     "branch_spectra",

@@ -33,9 +33,6 @@ from .verify import run_suite, suite_failed
 
 ORACLE_MODES = 128
 
-# oscillator wave closed forms keyed by the shared --variant vocabulary
-_WAVE_FORM_FOR_VARIANT = {"paper_corrected": "corrected", "paper_literal": "paper_literal"}
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags by default; 2 is reserved
@@ -96,7 +93,6 @@ def build_parser():
     s = propagation(
         "wave-ho", "oscillator wave flow from rest (position data, zero velocity)",
         routes=("direct", "oracle"),
-        variants=tuple(_WAVE_FORM_FOR_VARIANT),
     )
     s.add_argument("--a", type=float, required=True, help="oscillator coupling")
 
@@ -149,7 +145,7 @@ def _run_wave_ho(args):
     if args.route == "oracle":
         out = wave_oracle(expand(v0, args.a, ORACLE_MODES), args.t, v0.grid)
     else:
-        out = wave_ho(v0, p, form=_WAVE_FORM_FOR_VARIANT[args.variant])
+        out = wave_ho(v0, p)
     write_function_csv(out, args.output)
     return 0
 

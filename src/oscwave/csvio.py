@@ -42,9 +42,22 @@ def read_function_csv(path):
         for row in r:
             if not row:
                 continue
-            xs.append(float(row[0]))
-            re = float(row[1])
-            im = float(row[2]) if has_im and len(row) > 2 else 0.0
+            # rows count data lines only, as in the non-uniform-x message
+            row_no = len(xs) + 1
+            if len(row) < 2:
+                raise ValueError(
+                    f"{path}: data row {row_no} has {len(row)} field(s); "
+                    "need at least x and re"
+                )
+            try:
+                x, re = float(row[0]), float(row[1])
+                im = float(row[2]) if has_im and len(row) > 2 else 0.0
+            except ValueError:
+                raise ValueError(
+                    f"{path}: data row {row_no} has a non-numeric field: "
+                    f"{','.join(row)!r}"
+                ) from None
+            xs.append(x)
             vals.append(complex(re, im))
     if len(xs) < 2:
         raise ValueError(f"{path}: need at least two samples")

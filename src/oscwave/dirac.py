@@ -13,7 +13,7 @@ import numpy as np
 
 from .fourier import (DECAY_TOL, SQRT_2PI, SpectralFunction, forward_ft,
                       inverse_ft)
-from .grids import SampledFunction, sample_at
+from .grids import SampledFunction, _quad_weights, sample_at
 from .special import SQRT_PI, erfc_paper, tricomi_u
 
 # agreement demanded between the two closed forms of the wave kernel
@@ -122,10 +122,7 @@ def wave_dirac(V0, t, n_quad=WAVE_QUAD_POINTS):
     if n_quad < 9 or n_quad % 2 == 0:
         raise ValueError("n_quad must be odd and at least 9")
     sigma = np.linspace(0.0, 1.0, n_quad)
-    h = sigma[1] - sigma[0]
-    w = np.ones(n_quad)
-    w[1:-1:2], w[2:-1:2] = 4.0, 2.0
-    w *= h / 3.0
+    w = (sigma[1] - sigma[0]) * _quad_weights(n_quad)
     X = g.points
     acc = np.zeros(g.n, dtype=complex)
     # sigma = 0 contributes nothing: the kernel factor decays like

@@ -7,6 +7,7 @@ single quadrature of the oscillator heat kernel over that parameter.
 
 import numpy as np
 
+from .grids import _quad_weights
 from .oscillator import MAX_AT, _log_mehler
 
 # the dual-parameter integrand must clear this decay by the cutoff
@@ -80,15 +81,7 @@ def grushin_heat_kernel(p, a_max=None, n_a=1025, as_complex=False):
         )
     integrand = np.exp(1j * (p.y - p.yp) * nodes) * mag
     h = nodes[1] - nodes[0]
-    if n_a % 2 == 1:
-        w = np.ones(n_a)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        w /= 3.0
-    else:
-        w = np.ones(n_a)
-        w[0] = w[-1] = 0.5
-    value = h * np.dot(w, integrand) / (2.0 * np.pi)
+    value = h * np.dot(_quad_weights(n_a), integrand) / (2.0 * np.pi)
     return complex(value) if as_complex else float(value.real)
 
 

@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 
-from .grids import SampledFunction, quadrature
+from .grids import SampledFunction, _quad_weights, quadrature
 
 __all__ = [
     "SpectralCoefficients",
@@ -95,7 +95,7 @@ def expand(f, a, n_max):
     (truncation not converged).
     """
     table = hermite_table(n_max, a, f.grid.points)
-    w = f.grid.spacing * _weights(f.grid.n)
+    w = f.grid.spacing * _quad_weights(f.grid.n)
     coeffs = table @ (w * f.values)
     c = SpectralCoefficients(a, coeffs)
     if c.tail_fraction() > TAIL_WARN:
@@ -105,18 +105,6 @@ def expand(f, a, n_max):
             stacklevel=2,
         )
     return c
-
-
-def _weights(n):
-    # same rule as grids.quadrature, inlined to weight the projection sums
-    w = np.ones(n)
-    if n % 2 == 1:
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        w /= 3.0
-    else:
-        w[0] = w[-1] = 0.5
-    return w
 
 
 def _synthesize(c, grid, multipliers):

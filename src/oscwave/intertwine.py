@@ -15,7 +15,9 @@ Numerical plan, chosen to survive the weight's super-exponential growth:
 * The damped spectrum is evaluated by direct phase sums at the exponentially
   spaced frequencies (chunked outer products), never by interpolating FFT
   output near the spectral edge, where the weight ratio between neighboring
-  samples can reach e^9.
+  samples can reach e^9.  Forward and inverse share one phase-sum kernel:
+  each chunk builds one phase table, and its conjugate serves the other
+  sign of xi.
 * The inverse de-weights pointwise (exact) and integrates the substitution
   form (1/sqrt(2pi)) integral 2a xi G(+-xi(X)) e^{+-i xi x} dX by the
   trapezoid rule in X.  The integrand decays at both ends (spectral tail on
@@ -75,11 +77,22 @@ def _rowsum(matrix):
     return matrix.astype(np.clongdouble).sum(axis=1).astype(complex)
 
 
-def _unit_phases(u, v, sign):
-    """e^{sign i u_k v_j} as a (len(u), len(v)) matrix, argument-reduced."""
-    th = np.multiply.outer(u.astype(_LD), v.astype(_LD))
-    th -= _TWO_PI_LD * np.rint(th / _TWO_PI_LD)
-    return np.exp(sign * 1j * th.astype(float))
+def _phase_pair(u, v, sign, a, b):
+    """sum_j a_j e^{sign i u_k v_j} and sum_j b_j e^{-sign i u_k v_j} per u_k.
+
+    Each chunk of u builds one argument-reduced phase table; the second sum
+    reads its conjugate.  Negating u before the reduction would give that
+    conjugate bit for bit, so one table serves both signs exactly.
+    """
+    first = np.empty(len(u), dtype=complex)
+    second = np.empty(len(u), dtype=complex)
+    for s in range(0, len(u), _CHUNK):
+        th = np.multiply.outer(u[s : s + _CHUNK].astype(_LD), v.astype(_LD))
+        th -= _TWO_PI_LD * np.rint(th / _TWO_PI_LD)
+        phases = np.exp(sign * 1j * th.astype(float))
+        first[s : s + _CHUNK] = _rowsum(phases * a)
+        second[s : s + _CHUNK] = _rowsum(np.conj(phases) * b)
+    return first, second
 
 
 @dataclass(frozen=True)
@@ -143,15 +156,11 @@ def weight(xi, a):
 
 
 def _phase_sums(values, x_grid, xi_targets):
-    """(h/sqrt(2pi)) sum_j values_j e^{-i x_j xi} at arbitrary frequencies."""
-    x = x_grid.points
-    out = np.empty(len(xi_targets), dtype=complex)
-    for s in range(0, len(xi_targets), _CHUNK):
-        blk = xi_targets[s : s + _CHUNK]
-        terms = _unit_phases(blk, x, -1.0)
-        terms *= values
-        out[s : s + _CHUNK] = _rowsum(terms)
-    return out * (x_grid.spacing / SQRT_2PI)
+    """(h/sqrt(2pi)) sum_j values_j e^{-i x_j xi} at xi = +xi_targets and
+    at xi = -xi_targets, returned in that order."""
+    g_plus, g_minus = _phase_pair(xi_targets, x_grid.points, -1.0, values, values)
+    scale = x_grid.spacing / SQRT_2PI
+    return g_plus * scale, g_minus * scale
 
 
 def _damped(phi, a):
@@ -183,6 +192,12 @@ def apply_T(phi, p, coverage="full"):
     """
     if coverage not in ("full", "window"):
         raise ValueError("coverage must be 'full' or 'window'")
+    return _branch_transform(_admissible_damped(phi, p, coverage), p)
+
+
+def _admissible_damped(phi, p, coverage):
+    """phi damped by the ground-state Gaussian, once its spectrum is known
+    to have decayed by the cut that the coverage mode of apply_T sets."""
     a = p.a
     damped = _damped(phi, a)
     xi_cut = (
@@ -196,15 +211,16 @@ def apply_T(phi, p, coverage="full"):
             "input is outside the admissible class: damped spectrum carries "
             f"{tail:.3e} of its peak beyond |xi| = {xi_cut:.3g}"
         )
-    return _branch_transform(damped, p)
+    return damped
 
 
-def _branch_transform(damped, p):
-    # the unguarded core of apply_T, shared with the residual check, which
-    # must still produce (informational) numbers on inadmissible data
-    xi = p.xi_nodes
-    g_plus = _phase_sums(damped, p.x_grid, xi)
-    g_minus = _phase_sums(damped, p.x_grid, -xi)
+def _branch_transform(damped, p, xi=None):
+    # the unguarded core of apply_T at the frequencies xi (default: the X
+    # nodes), shared with the residual check, which must still produce
+    # (informational) numbers on inadmissible data, and with the
+    # conjugated heat route, which reads the spectrum at contracted nodes
+    xi = p.xi_nodes if xi is None else xi
+    g_plus, g_minus = _phase_sums(damped, p.x_grid, xi)
     floor = SPECTRAL_CAP * max(np.max(np.abs(g_plus)), np.max(np.abs(g_minus)), 0.0)
     g_plus = np.where(np.abs(g_plus) < floor, 0.0, g_plus)
     g_minus = np.where(np.abs(g_minus) < floor, 0.0, g_minus)
@@ -256,16 +272,8 @@ def apply_T_inverse(b, p, mask_floor=1.0e-15):
     x = p.x_grid.points
     # trapezoid end corrections vanish against the decayed integrand
     amp = 2.0 * a * dX / SQRT_2PI
-    ip = xi * g_plus
-    im = xi * g_minus
-    damped = np.empty(p.x_grid.n, dtype=complex)
-    for s in range(0, len(x), _CHUNK):
-        blk = x[s : s + _CHUNK]
-        phases = _unit_phases(blk, xi, 1.0)
-        damped[s : s + _CHUNK] = _rowsum(phases * ip) + _rowsum(
-            np.conj(phases) * im
-        )
-    damped *= amp
+    from_plus, from_minus = _phase_pair(x, xi, 1.0, xi * g_plus, xi * g_minus)
+    damped = (from_plus + from_minus) * amp
     dpeak = np.max(np.abs(damped))
     if dpeak > 0.0 and mask_floor > 0.0:
         damped = np.where(np.abs(damped) < mask_floor * dpeak, 0.0, damped)

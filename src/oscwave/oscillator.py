@@ -12,14 +12,12 @@ import warnings
 
 import numpy as np
 
-from .fourier import SQRT_2PI, SpectralFunction, forward_ft, inverse_ft, \
-    spectral_resample
+from .fourier import SpectralFunction, forward_ft, inverse_ft, spectral_resample
 from .grids import SampledFunction, quadrature_weights
-from .intertwine import (BranchPair, apply_T, apply_T_inverse, _damped,
-                         _phase_sums, _spectral_tail, derive_params, SA_DECAY,
-                         SPECTRAL_CAP, weight)
+from .intertwine import (BranchPair, apply_T, apply_T_inverse,
+                         _admissible_damped, _branch_transform, _damped,
+                         _spectral_tail, derive_params, SA_DECAY)
 from .dirac import wave_dirac
-from .special import SQRT_PI, erfc_paper
 
 HEAT_KERNEL_VARIANTS = ("mehler", "paper_literal", "paper_corrected")
 
@@ -30,8 +28,6 @@ MAX_AT = 300.0
 # integrand tails larger than this fraction of the row peak mean the
 # quadrature domain is cutting into live kernel mass
 TAIL_GUARD = 1.0e-12
-
-WAVE_FORMS = ("paper_literal", "corrected")
 
 
 class OscillatorParams:
@@ -194,51 +190,20 @@ def heat_via_intertwining(u0, p, ip=None, mask_floor=1.0e-15):
         ip = derive_params(p.a, u0.grid, u0)
     if ip.a != p.a:
         raise ValueError("coupling mismatch between parameter sets")
-    a, t = p.a, p.t
-    if t == 0:
-        return apply_T_inverse(apply_T(u0, ip), ip, mask_floor=mask_floor)
-    damped = _damped(u0, a)
-    xi_cut = np.exp(-2.0 * a * ip.X_grid.x_min)
-    tail = _spectral_tail(damped, ip.x_grid, xi_cut)
-    if tail > SA_DECAY:
-        raise ValueError(
-            "input is outside the admissible class: damped spectrum carries "
-            f"{tail:.3e} of its peak beyond |xi| = {xi_cut:.3g}"
-        )
-    xi_new = ip.xi_nodes * np.exp(-2.0 * a * t)
-    g_plus = _phase_sums(damped, ip.x_grid, xi_new)
-    g_minus = _phase_sums(damped, ip.x_grid, -xi_new)
-    floor = SPECTRAL_CAP * max(np.max(np.abs(g_plus)), np.max(np.abs(g_minus)))
-    g_plus = np.where(np.abs(g_plus) < floor, 0.0, g_plus)
-    g_minus = np.where(np.abs(g_minus) < floor, 0.0, g_minus)
-    w_new = weight(xi_new, a)
-    shifted = BranchPair(
-        SampledFunction(ip.X_grid, w_new * g_plus),
-        SampledFunction(ip.X_grid, w_new * g_minus),
-    )
+    damped = _admissible_damped(u0, ip, "full")
+    shifted = _branch_transform(damped, ip, ip.xi_nodes * np.exp(-2.0 * p.a * p.t))
     return apply_T_inverse(shifted, ip, mask_floor=mask_floor)
 
 
-def wave_ho(v0, p, form="corrected", ip=None, mask_floor=1.0e-15, n_quad=None):
+def wave_ho(v0, p, ip=None, mask_floor=1.0e-15, n_quad=None):
     """Wave evolution sin(t sqrt(L))/sqrt(L) applied to v0.
 
-    corrected: conjugate the windowed Dirac wave propagator with the
-    substitution operator, branch by branch.  paper_literal: the printed
-    frequency-side formula evaluated character for character (inner
-    amplification e^{+ax'^2/2}, 1/sqrt(xi') with xi' > 0 only, prefactor
-    -1/(a sqrt(pi))); it disagrees with the oracle and is kept for the
-    comparison report, not for use.
+    Conjugates the windowed Dirac wave propagator with the substitution
+    operator, branch by branch.  ip supplies the transform grids; by
+    default they are sized from v0's own spectrum.
     """
-    if form not in WAVE_FORMS:
-        raise ValueError(f"unknown wave form {form!r}")
     if p.t == 0 or not np.any(v0.values):
         return SampledFunction(v0.grid, np.zeros(v0.grid.n, dtype=complex))
-    if form == "corrected":
-        return _wave_ho_corrected(v0, p, ip, mask_floor, n_quad)
-    return _wave_ho_literal(v0, p)
-
-
-def _wave_ho_corrected(v0, p, ip, mask_floor, n_quad):
     if ip is None:
         ip = derive_params(p.a, v0.grid, v0)
     if ip.a != p.a:
@@ -250,48 +215,3 @@ def _wave_ho_corrected(v0, p, ip, mask_floor, n_quad):
         wave_dirac(b.minus, p.t, **kw),
     )
     return apply_T_inverse(moved, ip, mask_floor=mask_floor)
-
-
-def _wave_ho_literal(v0, p):
-    a, t = p.a, p.t
-    g = v0.grid
-    x = g.points
-    grown = SampledFunction(g, v0.values * np.exp(0.5 * a * x * x))
-    with warnings.catch_warnings():
-        # the printed inner factor amplifies the data; the transform of
-        # such input legitimately fails the edge-decay checks
-        warnings.simplefilter("ignore")
-        F = forward_ft(grown)
-    xi = F.xi_grid.points
-    vals = F.values
-    dxi = F.xi_grid.spacing
-    out = np.zeros_like(vals)
-    pos = xi > 0.0
-    live = np.abs(vals) > 1.0e-13 * np.max(np.abs(vals))
-    for i in np.nonzero(pos)[0]:
-        s = xi[i]
-        lo, hi = s * np.exp(-a * t), s * np.exp(a * t)
-        sel = pos & live & (xi > lo) & (xi < hi) & (xi != s)
-        if not np.any(sel):
-            continue
-        sp = xi[sel]
-        av = vals[sel]
-        gap = np.abs(np.log(s / sp))
-        kern = erfc_paper(np.sqrt(a) * t / np.sqrt(2.0 * gap))
-        # the printed amplification e^{+xi'^2/4a} overflows doubles well
-        # inside the transform band; terms past the representable range
-        # are dropped, which is the only runnable reading of the formula
-        with np.errstate(divide="ignore"):
-            logmag = sp * sp / (4.0 * a) - 0.5 * np.log(sp) \
-                + np.log(np.abs(av))
-        keep = logmag < 690.0
-        if not np.any(keep):
-            continue
-        phase = av[keep] / np.abs(av[keep])
-        terms = kern[keep] * np.exp(logmag[keep]) * phase
-        out[i] = np.sum(terms) * dxi
-        out[i] *= np.exp(-s * s / (4.0 * a)) / np.sqrt(s)
-    back = inverse_ft(SpectralFunction(F.xi_grid, out, F.x_grid))
-    return SampledFunction(
-        g, -(1.0 / (a * SQRT_PI)) * back.values * np.exp(0.5 * a * x * x)
-    )

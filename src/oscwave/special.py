@@ -39,8 +39,6 @@ class UEvalPolicy:
     quadrature_points: trapezoid node count for the integral representation.
     series_cutoff: below this z the singular small-z form is substituted
         (only relevant for c > 1).
-    target_abs_error: requested accuracy, absolute for O(1) values and
-        relative for large ones.
     """
 
     # the log-substituted integral keeps ~4e-14 relative accuracy down to
@@ -48,11 +46,8 @@ class UEvalPolicy:
     # c = 3/2) is only a guard for arguments below any physical scale
     quadrature_points: int = 900
     series_cutoff: float = 1.0e-12
-    target_abs_error: float = 1.0e-12
 
     def __post_init__(self):
-        if not (1.0e-14 <= self.target_abs_error <= 1.0e-6):
-            raise ValueError("target_abs_error must lie in [1e-14, 1e-6]")
         if self.quadrature_points < 50:
             raise ValueError("too few quadrature points")
 

@@ -364,7 +364,7 @@ def check_oscillator_wave():
 
     ip = derive_params(a, g, f0, n_X=4096)
     for t in (1.0e-3, 0.1, 0.5):
-        v = wave_ho(f0, OscillatorParams(a, t), form="corrected", ip=ip)
+        v = wave_ho(f0, OscillatorParams(a, t), ip=ip)
         dev = rel_l2_error(v, wave_oracle(c, t, g))
         if t == 1.0e-3:
             reports.append(make_report(

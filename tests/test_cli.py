@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +15,10 @@ from oscwave import (
     hermite_fn,
     make_grid,
     read_function_csv,
+    wave_ho,
     write_function_csv,
 )
+import oscwave
 from oscwave import verify
 from oscwave.cli import main
 
@@ -96,6 +102,32 @@ def test_wave_ho_oracle_route(tmp_path):
     assert rc == 0
     out = read_function_csv(dst)
     assert np.max(np.abs(out.values - np.sin(0.7) * v0.values)) <= 1e-6
+
+
+def test_wave_ho_direct_route_matches_the_library(tmp_path):
+    src = tmp_path / "in.csv"
+    dst = tmp_path / "out.csv"
+    g = make_grid(-10.0, 10.0, 512)
+    x = g.points
+    write_function_csv(SampledFunction(
+        g, (hermite_fn(0, 1.0, x) + 0.5j * hermite_fn(1, 1.0, x)).astype(complex)),
+        src)
+    rc = main([
+        "wave-ho", "--route", "direct", "--a", "1.0", "--t", "0.3",
+        "--input", str(src), "--output", str(dst),
+    ])
+    assert rc == 0
+    want = wave_ho(read_function_csv(src), OscillatorParams(1.0, 0.3))
+    assert np.array_equal(read_function_csv(dst).values, want.values)
+
+
+def test_wave_ho_has_no_variant_flag(tmp_path):
+    src = tmp_path / "in.csv"
+    _write_ground_state(src)
+    with pytest.raises(SystemExit) as exc:
+        main(["wave-ho", "--variant", "paper_literal", "--a", "1.0", "--t", "0.3",
+              "--input", str(src), "--output", str(tmp_path / "out.csv")])
+    assert exc.value.code == 1
 
 
 def test_wave_dirac_direct_route(tmp_path):
@@ -184,6 +216,21 @@ def test_missing_input_file(tmp_path, capsys):
     ])
     assert rc == 1
     assert capsys.readouterr().err
+
+
+def test_short_csv_rows_exit_one_without_traceback(tmp_path):
+    src = tmp_path / "short.csv"
+    src.write_text("x,re\n0.0\n0.1\n")
+    pkg_root = Path(oscwave.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(pkg_root))
+    done = subprocess.run(
+        [sys.executable, "-m", "oscwave.cli", "heat-dirac", "--t", "1.0",
+         "--input", str(src), "--output", str(tmp_path / "out.csv")],
+        capture_output=True, text=True, env=env,
+    )
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert "short.csv: data row 1" in done.stderr
 
 
 def test_domain_violation_exits_one(tmp_path, capsys):

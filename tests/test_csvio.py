@@ -58,6 +58,20 @@ def test_read_rejects_decreasing_x(tmp_path):
         read_function_csv(p)
 
 
+def test_read_rejects_short_rows(tmp_path):
+    p = tmp_path / "short.csv"
+    p.write_text("x,re\n0.0\n0.1\n")
+    with pytest.raises(ValueError, match=r"short\.csv: data row 1 has 1 field"):
+        read_function_csv(p)
+
+
+def test_read_rejects_non_numeric_fields(tmp_path):
+    p = tmp_path / "text.csv"
+    p.write_text("x,re,im\n0.0,1.0,0.0\n0.5,abc,0.0\n")
+    with pytest.raises(ValueError, match=r"text\.csv: data row 2 has a non-numeric"):
+        read_function_csv(p)
+
+
 def test_kernel_dump_layout(tmp_path):
     x = np.array([0.0, 1.0])
     xp = np.array([0.0, 0.5, 1.0])

@@ -72,6 +72,27 @@ def test_real_even_input_gives_equal_branches():
     assert np.max(np.abs(b.plus.values - b.minus.values)) <= 1e-10
 
 
+def test_window_branches_of_complex_uneven_data_match_a_plain_sum():
+    """Each branch reads the damped spectrum at its own sign of xi.
+
+    Data that is neither real nor even has G(-xi) != G(xi) and
+    G(-xi) != conj(G(xi)), so a branch built from the wrong sign or the
+    wrong conjugate fails here; real even data cannot tell them apart.
+    """
+    a = 1.0
+    g = make_grid(-8.0, 8.0, 256)
+    x = g.points
+    vals = (1.0 + 0.5j) * np.exp(-((x - 0.7) ** 2)) + 0.3j * x * np.exp(-0.5 * x**2)
+    p = IntertwineParams(a, g, make_grid(0.0, 1.2, 64))
+    b = apply_T(SampledFunction(g, vals), p, coverage="window")
+    xi = np.exp(-2.0 * a * p.X_grid.points)
+    damped = vals * np.exp(-0.5 * a * x**2)
+    for side, sign in ((b.plus, 1.0), (b.minus, -1.0)):
+        spectrum = np.exp(-1j * sign * np.outer(xi, x)) @ damped * g.spacing
+        want = np.sqrt(xi) * np.exp(xi**2 / (4.0 * a)) * spectrum / np.sqrt(2.0 * np.pi)
+        assert np.max(np.abs(side.values - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_branch_spectra_deweights_to_the_damped_spectrum():
     phi = SampledFunction(GRID, np.exp(-(X**2) / 2).astype(complex))
     b = apply_T(phi, WINDOW, coverage="window")

@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +5,6 @@ from hypothesis import strategies as st
 
 from oscwave import (
     HEAT_KERNEL_VARIANTS,
-    WAVE_FORMS,
     KernelTailWarning,
     OscillatorParams,
     SampledFunction,
@@ -26,7 +23,6 @@ from oscwave import (
 
 def test_variant_tables():
     assert HEAT_KERNEL_VARIANTS == ("mehler", "paper_literal", "paper_corrected")
-    assert WAVE_FORMS == ("paper_literal", "corrected")
 
 
 def test_params_validation():
@@ -214,8 +210,7 @@ def test_zero_data_propagates_to_zero():
     z = SampledFunction(g, np.zeros(g.n, dtype=complex))
     p = OscillatorParams(1.0, 0.4)
     assert np.max(np.abs(heat_via_intertwining(z, p).values)) == 0.0
-    for form in WAVE_FORMS:
-        assert np.max(np.abs(wave_ho(z, p, form=form).values)) == 0.0
+    assert np.max(np.abs(wave_ho(z, p).values)) == 0.0
 
 
 def test_wave_starts_at_zero():
@@ -223,22 +218,3 @@ def test_wave_starts_at_zero():
     v0 = SampledFunction(g, np.exp(-g.points**2).astype(complex))
     out = wave_ho(v0, OscillatorParams(1.0, 0.0))
     assert np.max(np.abs(out.values)) == 0.0
-
-
-def test_wave_rejects_unknown_form():
-    g = make_grid(-8.0, 8.0, 256)
-    v0 = SampledFunction(g, np.exp(-g.points**2).astype(complex))
-    with pytest.raises(ValueError):
-        wave_ho(v0, OscillatorParams(1.0, 0.4), form="spectral")
-
-
-def test_literal_wave_form_stays_finite():
-    # the printed formula is kept runnable for comparison; on data whose
-    # grown spectrum fits the representable band it must at least return
-    # finite numbers
-    g = make_grid(-8.0, 8.0, 256)
-    v0 = SampledFunction(g, np.exp(-g.points**2).astype(complex))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        out = wave_ho(v0, OscillatorParams(1.0, 0.4), form="paper_literal")
-    assert np.all(np.isfinite(out.values))

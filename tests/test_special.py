@@ -99,6 +99,4 @@ def test_u_domain_and_policy_validation():
     with pytest.raises(ValueError):
         tricomi_u(1.0, 1.5, -2.0)
     with pytest.raises(ValueError):
-        UEvalPolicy(target_abs_error=1e-3)
-    with pytest.raises(ValueError):
         UEvalPolicy(quadrature_points=10)
