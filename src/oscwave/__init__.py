@@ -28,7 +28,7 @@ from .fourier import (
     inverse_ft,
     spectral_resample,
 )
-from .special import UEvalPolicy, erfc_paper, tricomi_u, tricomi_u_deriv
+from .special import erfc_paper, tricomi_u, tricomi_u_deriv
 from .hermite import (
     SpectralCoefficients,
     eigenvalue,
@@ -47,6 +47,7 @@ from .dirac import (
     spectral_wave_oracle_dirac,
     wave_dirac,
     wave_kernel_dirac,
+    wave_kernel_forms,
 )
 from .intertwine import (
     BranchPair,
@@ -94,7 +95,6 @@ __all__ = [
     "SampledFunction",
     "SpectralCoefficients",
     "SpectralFunction",
-    "UEvalPolicy",
     "VerificationReport",
     "apply_T",
     "apply_T_inverse",
@@ -137,6 +137,7 @@ __all__ = [
     "wave_dirac",
     "wave_energy",
     "wave_kernel_dirac",
+    "wave_kernel_forms",
     "wave_ho",
     "wave_oracle",
     "wave_oracle_velocity",

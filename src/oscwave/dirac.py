@@ -13,7 +13,7 @@ import numpy as np
 
 from .fourier import (DECAY_TOL, SQRT_2PI, SpectralFunction, forward_ft,
                       inverse_ft)
-from .grids import SampledFunction, _quad_weights, sample_at
+from .grids import SampledFunction, quadrature_weights, sample_at
 from .special import SQRT_PI, erfc_paper, tricomi_u
 
 # agreement demanded between the two closed forms of the wave kernel
@@ -27,6 +27,7 @@ ORACLE_BAND_TOL = 1.0e-13
 # oracle output would be dominated by band-edge content
 ORACLE_GROWTH_CAP = 25.0
 
+# Simpson nodes in sigma for wave_dirac (odd, so the rule is Simpson's)
 WAVE_QUAD_POINTS = 257
 
 
@@ -68,36 +69,38 @@ def _warn_if_wrapping(U0, t):
         )
 
 
-def wave_kernel_dirac(t, X, Xp, form="erfc", cross_check=True):
-    """Wave kernel of the derivative operator at one point pair.
-
-    Two algebraically identical expressions exist: an Erfc form and a
-    Tricomi form.  `form` selects which one is returned; with
-    cross_check on, both are evaluated and must agree to 1e-10.
-    """
+def wave_kernel_forms(t, X, Xp):
+    """Wave kernel of the derivative operator at one point pair, in its two
+    algebraically identical closed forms: (Erfc form, Tricomi form)."""
     if t <= 0:
         raise ValueError("the wave kernel needs t > 0")
     gap = abs(X - Xp)
     if gap == 0:
         raise ValueError("X == X' makes the kernel argument singular")
-    if form not in ("erfc", "tricomi"):
-        raise ValueError(f"unknown form {form!r}")
     z2 = t * t / (4.0 * gap)
     w_erfc = (2.0 / SQRT_PI) * float(erfc_paper(np.sqrt(z2)))
-    need_tricomi = cross_check or form == "tricomi"
-    if need_tricomi:
-        w_tric = (t / np.sqrt(4.0 * np.pi * gap)) * np.exp(-z2) * float(
-            tricomi_u(1.0, 1.5, z2)
-        )
-    if cross_check and abs(w_erfc - w_tric) > FORM_AGREEMENT_TOL:
+    w_tric = (t / np.sqrt(4.0 * np.pi * gap)) * np.exp(-z2) * float(
+        tricomi_u(1.0, 1.5, z2)
+    )
+    return w_erfc, w_tric
+
+
+def wave_kernel_dirac(t, X, Xp):
+    """Wave kernel of the derivative operator at one point pair.
+
+    Returns the Erfc form after checking that the Tricomi form agrees
+    with it to 1e-10; a larger gap raises ArithmeticError.
+    """
+    w_erfc, w_tric = wave_kernel_forms(t, X, Xp)
+    if abs(w_erfc - w_tric) > FORM_AGREEMENT_TOL:
         raise ArithmeticError(
             f"kernel forms disagree by {abs(w_erfc - w_tric):.3e} at "
-            f"t={t:g}, |X-X'|={gap:g}"
+            f"t={t:g}, |X-X'|={abs(X - Xp):g}"
         )
-    return w_tric if form == "tricomi" else w_erfc
+    return w_erfc
 
 
-def wave_dirac(V0, t, n_quad=WAVE_QUAD_POINTS):
+def wave_dirac(V0, t):
     """Windowed convolution solution of the wave problem for d/dX.
 
     V(t, X) integrates the wave kernel against V0 over |X - X'| < t/2.
@@ -119,10 +122,8 @@ def wave_dirac(V0, t, n_quad=WAVE_QUAD_POINTS):
             f"integration window t/2 = {t / 2.0:g} exceeds a quarter of "
             "the grid span; enlarge the grid or reduce t"
         )
-    if n_quad < 9 or n_quad % 2 == 0:
-        raise ValueError("n_quad must be odd and at least 9")
-    sigma = np.linspace(0.0, 1.0, n_quad)
-    w = (sigma[1] - sigma[0]) * _quad_weights(n_quad)
+    sigma = np.linspace(0.0, 1.0, WAVE_QUAD_POINTS)
+    w = (sigma[1] - sigma[0]) * quadrature_weights(WAVE_QUAD_POINTS)
     X = g.points
     acc = np.zeros(g.n, dtype=complex)
     # sigma = 0 contributes nothing: the kernel factor decays like

@@ -149,7 +149,9 @@ def make_report(check_name, metric, tolerance, informational=False, notes=""):
 # Composite Simpson weights need an even interval count, i.e. an odd number
 # of samples; otherwise fall back to the trapezoid rule.  Both integrate over
 # the span the samples actually cover, [x_min, x_max - h].
-def _quad_weights(n):
+def quadrature_weights(n):
+    """The weights w_j of n samples with quadrature(f) = h * sum w_j f_j,
+    exposed for kernel-matrix contractions and other node sets."""
     w = np.ones(n)
     if n % 2 == 1:
         w[1:-1:2] = 4.0
@@ -168,47 +170,42 @@ def quadrature(f):
     decayed at the grid ends, so the missing half-open tail cell is below
     rounding in practice.
     """
-    w = _quad_weights(f.grid.n)
+    w = quadrature_weights(f.grid.n)
     return complex(f.grid.spacing * np.dot(w, f.values))
 
 
-def quadrature_weights(grid):
-    """The weights w_j with quadrature(f) = h * sum w_j f_j, exposed for
-    kernel-matrix contractions."""
-    return _quad_weights(grid.n)
+# stencil width of sample_at (number of samples per local Lagrange fit)
+SAMPLE_ORDER = 8
 
 
-def sample_at(f, targets, order=8, fill=0.0):
+def sample_at(f, targets):
     """Evaluate a SampledFunction at off-grid points by local polynomial
-    interpolation on the uniform grid.
+    interpolation on the uniform grid, SAMPLE_ORDER samples per stencil.
 
-    Parameters
-    ----------
-    f : SampledFunction
-    targets : array of points; those outside the sampled span get `fill`
-    order : stencil width (number of samples per local Lagrange fit)
-
-    Smooth, decayed data is assumed; the error is O(h^order).
+    Targets outside the sampled span read 0.  Smooth, decayed data is
+    assumed; the error is O(h^SAMPLE_ORDER).
     """
     x = np.asarray(targets, dtype=float)
     g = f.grid
     h = g.spacing
     pos = (x - g.x_min) / h
     inside = (pos >= 0.0) & (pos <= g.n - 1)
-    out = np.full(x.shape, fill, dtype=complex)
+    out = np.zeros(x.shape, dtype=complex)
     if not np.any(inside):
         return out
     p = pos[inside]
     # leftmost stencil index, clamped so the stencil stays on the grid
-    left = np.clip(np.floor(p).astype(int) - (order // 2 - 1), 0, g.n - order)
-    s = p - left  # fractional position within the stencil, in [0, order-1]
-    # Lagrange basis on integer nodes 0..order-1 evaluated at s; the product
+    left = np.clip(np.floor(p).astype(int) - (SAMPLE_ORDER // 2 - 1), 0,
+                   g.n - SAMPLE_ORDER)
+    # fractional position within the stencil, in [0, SAMPLE_ORDER - 1]
+    s = p - left
+    # Lagrange basis on the integer stencil nodes evaluated at s; the product
     # form has no divisions by (s - node), so exact node hits are harmless
-    diffs = s[:, None] - np.arange(order)[None, :]
+    diffs = s[:, None] - np.arange(SAMPLE_ORDER)[None, :]
     vals = np.zeros(p.shape, dtype=complex)
-    for i in range(order):
+    for i in range(SAMPLE_ORDER):
         li = np.ones(p.shape)
-        for j in range(order):
+        for j in range(SAMPLE_ORDER):
             if j != i:
                 li *= diffs[:, j] / (i - j)
         vals += li * f.values[left + i]

@@ -7,7 +7,7 @@ single quadrature of the oscillator heat kernel over that parameter.
 
 import numpy as np
 
-from .grids import _quad_weights
+from .grids import quadrature_weights
 from .oscillator import MAX_AT, _log_mehler
 
 # the dual-parameter integrand must clear this decay by the cutoff
@@ -52,36 +52,31 @@ def oscillator_kernel_in_coupling(a, t, x, xp):
     return out
 
 
-def grushin_heat_kernel(p, a_max=None, n_a=1025, as_complex=False):
+def grushin_heat_kernel(p, n_a=1025, as_complex=False):
     """Heat kernel value at (t, x, y, x', y') by dual-parameter quadrature.
 
     Computes (1/2pi) int e^{i(y-y')a} H(|a|; t, x, x') da by Simpson on
     [-a_max, a_max], where H is the oscillator heat kernel in the
-    coupling.  The integrand is even in a up to conjugation, so the true
-    value is real; as_complex=True returns the unreduced complex result
-    so the residual imaginary part can be inspected.
+    coupling and a_max comes from _auto_cutoff.  The integrand is even in
+    a up to conjugation, so the true value is real; as_complex=True
+    returns the unreduced complex result so the residual imaginary part
+    can be inspected.
     """
     if n_a < MIN_NODES:
         raise ValueError(f"n_a must be at least {MIN_NODES}")
-    if a_max is None:
-        a_max = _auto_cutoff(p)
-    a_max = float(a_max)
-    if a_max <= 0:
-        raise ValueError("a_max must be positive")
-    if a_max * p.t > MAX_AT:
-        raise ValueError("a_max * t exceeds the overflow cap")
+    a_max = _auto_cutoff(p)
     nodes = np.linspace(-a_max, a_max, n_a)
     mag = oscillator_kernel_in_coupling(np.abs(nodes), p.t, p.x, p.xp)
     peak = np.max(mag)
     edge = max(mag[0], mag[-1])
     if edge > CUTOFF_DECAY * peak:
         raise ValueError(
-            f"integrand at the cutoff is {edge / peak:.2e} of its peak; "
-            "raise a_max"
+            f"integrand at the cutoff a_max = {a_max:g} is "
+            f"{edge / peak:.2e} of its peak"
         )
     integrand = np.exp(1j * (p.y - p.yp) * nodes) * mag
     h = nodes[1] - nodes[0]
-    value = h * np.dot(_quad_weights(n_a), integrand) / (2.0 * np.pi)
+    value = h * np.dot(quadrature_weights(n_a), integrand) / (2.0 * np.pi)
     return complex(value) if as_complex else float(value.real)
 
 

@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 
-from .grids import SampledFunction, _quad_weights, quadrature
+from .grids import SampledFunction, quadrature, quadrature_weights
 
 __all__ = [
     "SpectralCoefficients",
@@ -95,7 +95,7 @@ def expand(f, a, n_max):
     (truncation not converged).
     """
     table = hermite_table(n_max, a, f.grid.points)
-    w = f.grid.spacing * _quad_weights(f.grid.n)
+    w = f.grid.spacing * quadrature_weights(f.grid.n)
     coeffs = table @ (w * f.values)
     c = SpectralCoefficients(a, coeffs)
     if c.tail_fraction() > TAIL_WARN:
@@ -118,15 +118,18 @@ def reconstruct(c, grid):
     return _synthesize(c, grid, np.ones(c.n_max + 1))
 
 
+def _rates(c):
+    # -eigenvalue of each of c's modes, (2n+1)a
+    return -eigenvalue(np.arange(c.n_max + 1), c.a)
+
+
 def heat_oracle(c, t, grid):
     """Heat evolution: coefficient n decays as e^{-(2n+1)a t}."""
-    n = np.arange(c.n_max + 1)
-    return _synthesize(c, grid, np.exp(-(2 * n + 1) * c.a * t))
+    return _synthesize(c, grid, np.exp(-_rates(c) * t))
 
 
 def _wave_multipliers(c, t):
-    lam = (2 * np.arange(c.n_max + 1) + 1) * c.a
-    root = np.sqrt(lam)
+    root = np.sqrt(_rates(c))
     return np.sin(t * root) / root
 
 
@@ -137,22 +140,19 @@ def wave_oracle(c, t, grid):
 
 def wave_oracle_velocity(c, t, grid):
     """Exact time derivative of wave_oracle: multipliers cos(t sqrt(lam))."""
-    lam = (2 * np.arange(c.n_max + 1) + 1) * c.a
-    return _synthesize(c, grid, np.cos(t * np.sqrt(lam)))
+    return _synthesize(c, grid, np.cos(t * np.sqrt(_rates(c))))
 
 
-def wave_energy(c, t, grid, n_max=None):
+def wave_energy(c, t, grid):
     """Wave energy ||dv/dt||^2 + sum lam_n |<v, h_n>|^2 at time t.
 
     The inner products are recomputed by quadrature from the sampled
     solution, so the constancy of this quantity exercises the grid,
     the projection, and the multipliers together.
     """
-    n_max = c.n_max if n_max is None else n_max
     v = wave_oracle(c, t, grid)
     dv = wave_oracle_velocity(c, t, grid)
-    proj = expand(v, c.a, n_max)
-    lam = (2 * np.arange(n_max + 1) + 1) * c.a
+    proj = expand(v, c.a, c.n_max)
     kinetic = abs(quadrature(SampledFunction(grid, np.abs(dv.values) ** 2)))
-    potential = float(np.sum(lam * np.abs(proj.coeffs) ** 2))
+    potential = float(np.sum(_rates(c) * np.abs(proj.coeffs) ** 2))
     return kinetic + potential

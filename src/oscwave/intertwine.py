@@ -59,6 +59,11 @@ SA_DECAY = 1.0e-10
 SPECTRAL_CAP = 1.0e-16
 # largest exponent allowed inside the weight
 MAX_WEIGHT_EXPONENT = 700.0
+# derive_params ends the X window at X_EXTENT / a, where the frequency
+# curve e^{-2aX} = e^{-37} has reached the double-precision floor
+X_EXTENT = 18.5
+# pass/fail bound of intertwine_residual's relative L2 metric
+RESIDUAL_TOL = 1.0e-5
 
 _CHUNK = 256
 
@@ -294,7 +299,7 @@ def _centered_d(values, h):
     return (values[2:] - values[:-2]) / (2.0 * h)
 
 
-def intertwine_residual(phi, p, tolerance=1.0e-5):
+def intertwine_residual(phi, p):
     """Check the conjugation identity: T(oscillator phi) = d/dX (T phi).
 
     Both sides are compared in relative L2 per branch over the interior of
@@ -328,12 +333,12 @@ def intertwine_residual(phi, p, tolerance=1.0e-5):
     if informational:
         notes += f"; damped spectrum unresolved (tail {alias_tail:.2e})"
     return make_report(
-        "intertwine_residual", metric, tolerance, informational=informational,
+        "intertwine_residual", metric, RESIDUAL_TOL, informational=informational,
         notes=notes,
     )
 
 
-def derive_params(a, x_grid, phi, n_X=8192, x_extent=18.5):
+def derive_params(a, x_grid, phi, n_X=8192):
     """Build transform parameters whose X window covers phi's spectrum.
 
     The lower X bound comes from where the damped spectrum of phi has
@@ -346,8 +351,8 @@ def derive_params(a, x_grid, phi, n_X=8192, x_extent=18.5):
     peak = np.max(mag)
     if peak == 0.0:
         raise ValueError("cannot derive a window for identically zero data")
-    alive = np.abs(F.xi_grid.points)[mag > SA_DECAY * peak]
-    xi_tail = float(np.max(alive)) if alive.size else F.xi_grid.spacing
+    # never empty: the peak itself clears SA_DECAY * peak
+    xi_tail = float(np.max(np.abs(F.xi_grid.points)[mag > SA_DECAY * peak]))
     xi_cover = 1.5 * xi_tail
     nyq = 0.95 * np.pi / x_grid.spacing
     if xi_cover > nyq:
@@ -355,7 +360,7 @@ def derive_params(a, x_grid, phi, n_X=8192, x_extent=18.5):
             f"spectral support (to {xi_tail:.3g}) exceeds the x-grid band"
         )
     X_min = -np.log(xi_cover) / (2.0 * a)
-    X_max = x_extent / a
+    X_max = X_EXTENT / a
     if X_max <= X_min:
         raise ValueError("frequency window collapsed; check the coupling")
     return IntertwineParams(a, x_grid, make_grid(X_min, X_max, n_X))

@@ -29,6 +29,11 @@ MAX_AT = 300.0
 # quadrature domain is cutting into live kernel mass
 TAIL_GUARD = 1.0e-12
 
+# fraction of the peak below which the spectral route zeroes its damped
+# result before undamping; it sits above the chirp-transform resampler's
+# noise, which scatters a few 1e-14 of the peak across the grid
+SPECTRAL_MASK_FLOOR = 1.0e-13
+
 
 class OscillatorParams:
     """Coupling a > 0 and evolution time t >= 0.
@@ -61,24 +66,26 @@ class KernelTailWarning(UserWarning):
 
 def _log_mehler(a, t, x, xp):
     # log of sqrt(a/(2 pi sinh 2at)) with sinh expanded around its
-    # dominant exponential so large at cannot overflow
+    # dominant exponential so large at cannot overflow; 1 - e^{-4at} comes
+    # from expm1 so small at keeps its digits
     y = 2.0 * a * t
-    log_sinh = y + np.log1p(-np.exp(-2.0 * y)) - np.log(2.0)
+    one_q = -np.expm1(-2.0 * y)
+    log_sinh = y + np.log(one_q) - np.log(2.0)
     log_pref = 0.5 * (np.log(a) - np.log(2.0 * np.pi) - log_sinh)
     q = np.exp(-2.0 * y)
     # coth 2at = 1 + 2q/(1-q), 1/sinh 2at = 2 e^{-y}/(1-q), both exact
-    coth = 1.0 + 2.0 * q / (1.0 - q)
-    inv_sinh = 2.0 * np.exp(-y) / (1.0 - q)
+    coth = 1.0 + 2.0 * q / one_q
+    inv_sinh = 2.0 * np.exp(-y) / one_q
     return log_pref - 0.5 * a * (x * x + xp * xp) * coth + a * x * xp * inv_sinh
 
 
 def _log_corrected(a, t, x, xp):
     # sqrt(a/pi) e^{-at} (1-e^{-4at})^{-1/2}
     #   * exp[-a (x - x' e^{-2at})^2 / (1-e^{-4at}) + (a/2)(x^2 - x'^2)]
-    q = np.exp(-4.0 * a * t)
+    one_q = -np.expm1(-4.0 * a * t)
     r = np.exp(-2.0 * a * t)
-    log_pref = 0.5 * (np.log(a) - np.log(np.pi)) - a * t - 0.5 * np.log1p(-q)
-    return log_pref - a * (x - xp * r) ** 2 / (1.0 - q) + 0.5 * a * (x * x - xp * xp)
+    log_pref = 0.5 * (np.log(a) - np.log(np.pi)) - a * t - 0.5 * np.log(one_q)
+    return log_pref - a * (x - xp * r) ** 2 / one_q + 0.5 * a * (x * x - xp * xp)
 
 
 def _literal(a, t, x, xp):
@@ -120,7 +127,7 @@ def heat_ho_kernel_route(u0, p, variant="mehler"):
         raise ValueError("the kernel route needs t > 0; at t = 0 it is the identity")
     g = u0.grid
     x = g.points
-    w = quadrature_weights(g)
+    w = quadrature_weights(g.n)
     K = heat_kernel(variant, p, x[:, None], x[None, :])
     integrand = K * u0.values[None, :]
     peak = np.max(np.abs(integrand))
@@ -135,7 +142,7 @@ def heat_ho_kernel_route(u0, p, variant="mehler"):
     return SampledFunction(g, g.spacing * (integrand @ w))
 
 
-def heat_ho_spectral_route(u0, p, mask_floor=1.0e-13):
+def heat_ho_spectral_route(u0, p):
     """Propagate u0 through the damped-Fourier factorization.
 
     Chain: damp by e^{-ax^2/2}, transform, read the spectrum at the
@@ -143,8 +150,7 @@ def heat_ho_spectral_route(u0, p, mask_floor=1.0e-13):
     the Gaussian multiplier e^{-(1-e^{-4at}) xi^2/4a}, transform back,
     undamp, and scale by e^{-at}.  The undamping step amplifies like the
     inverse substitution operator does, so the damped result is masked
-    first; the default floor sits above the chirp-transform resampler's
-    noise, which scatters a few 1e-14 of the peak across the grid.
+    at SPECTRAL_MASK_FLOOR of its peak first.
     """
     a, t = p.a, p.t
     g = u0.grid
@@ -164,15 +170,15 @@ def heat_ho_spectral_route(u0, p, mask_floor=1.0e-13):
     )
     vals = out.values
     peak = np.max(np.abs(vals))
-    if peak > 0.0 and mask_floor > 0.0:
-        vals = np.where(np.abs(vals) < mask_floor * peak, 0.0, vals)
+    if peak > 0.0:
+        vals = np.where(np.abs(vals) < SPECTRAL_MASK_FLOOR * peak, 0.0, vals)
     x = g.points
     return SampledFunction(
         g, np.exp(-a * t) * vals * np.exp(0.5 * a * x * x)
     )
 
 
-def heat_via_intertwining(u0, p, ip=None, mask_floor=1.0e-15):
+def heat_via_intertwining(u0, p, ip=None):
     """Propagate u0 by conjugating transport with the substitution operator.
 
     The transform variable satisfies |xi| = e^{-2aX}, so translating a
@@ -192,10 +198,10 @@ def heat_via_intertwining(u0, p, ip=None, mask_floor=1.0e-15):
         raise ValueError("coupling mismatch between parameter sets")
     damped = _admissible_damped(u0, ip, "full")
     shifted = _branch_transform(damped, ip, ip.xi_nodes * np.exp(-2.0 * p.a * p.t))
-    return apply_T_inverse(shifted, ip, mask_floor=mask_floor)
+    return apply_T_inverse(shifted, ip)
 
 
-def wave_ho(v0, p, ip=None, mask_floor=1.0e-15, n_quad=None):
+def wave_ho(v0, p, ip=None):
     """Wave evolution sin(t sqrt(L))/sqrt(L) applied to v0.
 
     Conjugates the windowed Dirac wave propagator with the substitution
@@ -209,9 +215,5 @@ def wave_ho(v0, p, ip=None, mask_floor=1.0e-15, n_quad=None):
     if ip.a != p.a:
         raise ValueError("coupling mismatch between parameter sets")
     b = apply_T(v0, ip)
-    kw = {} if n_quad is None else {"n_quad": n_quad}
-    moved = BranchPair(
-        wave_dirac(b.plus, p.t, **kw),
-        wave_dirac(b.minus, p.t, **kw),
-    )
-    return apply_T_inverse(moved, ip, mask_floor=mask_floor)
+    moved = BranchPair(wave_dirac(b.plus, p.t), wave_dirac(b.minus, p.t))
+    return apply_T_inverse(moved, ip)

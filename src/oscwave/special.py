@@ -15,14 +15,11 @@ U is singular at z = 0 when c > 1 (it behaves like
 Gamma(c-1)/Gamma(a) * z^{1-c}); use ``tricomi_u_small_z`` for that limit.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import erfc as _erfc_std
 from scipy.special import gamma as _gamma
 
 __all__ = [
-    "UEvalPolicy",
     "erfc_paper",
     "tricomi_u",
     "tricomi_u_deriv",
@@ -31,28 +28,14 @@ __all__ = [
 
 SQRT_PI = np.sqrt(np.pi)
 
-
-@dataclass(frozen=True)
-class UEvalPolicy:
-    """Evaluation knobs for tricomi_u.
-
-    quadrature_points: trapezoid node count for the integral representation.
-    series_cutoff: below this z the singular small-z form is substituted
-        (only relevant for c > 1).
-    """
-
-    # the log-substituted integral keeps ~4e-14 relative accuracy down to
-    # z = 1e-15 at least; the asymptotic form (relative error O(z) for
-    # c = 3/2) is only a guard for arguments below any physical scale
-    quadrature_points: int = 900
-    series_cutoff: float = 1.0e-12
-
-    def __post_init__(self):
-        if self.quadrature_points < 50:
-            raise ValueError("too few quadrature points")
-
-
-DEFAULT_POLICY = UEvalPolicy()
+# tricomi_u evaluates the integral representation by the trapezoid rule on
+# U_QUAD_POINTS nodes; below U_SERIES_CUTOFF it substitutes the singular
+# small-z form (only relevant for c > 1).  The log-substituted integral
+# keeps ~4e-14 relative accuracy down to z = 1e-15 at least; the asymptotic
+# form (relative error O(z) for c = 3/2) is only a guard for arguments
+# below any physical scale
+U_QUAD_POINTS = 900
+U_SERIES_CUTOFF = 1.0e-12
 
 
 def erfc_paper(z):
@@ -104,7 +87,7 @@ def _u_integral(a, c, z, n_nodes):
     return total / _gamma(a)
 
 
-def tricomi_u(a, c, z, policy=DEFAULT_POLICY):
+def tricomi_u(a, c, z):
     """Tricomi confluent hypergeometric U(a, c, z) for a > 0, z > 0."""
     a = float(a)
     c = float(c)
@@ -113,15 +96,15 @@ def tricomi_u(a, c, z, policy=DEFAULT_POLICY):
     if np.ndim(z) == 0:
         if not np.isfinite(z) or z <= 0:
             raise ValueError("tricomi_u needs z > 0")
-        if c > 1.0 and z < policy.series_cutoff:
+        if c > 1.0 and z < U_SERIES_CUTOFF:
             return float(tricomi_u_small_z(a, c, z))
-        return float(_u_integral(a, c, z, policy.quadrature_points))
+        return float(_u_integral(a, c, z, U_QUAD_POINTS))
     z = np.asarray(z, dtype=float)
     if np.any(~np.isfinite(z)) or np.any(z <= 0):
         raise ValueError("tricomi_u needs z > 0")
-    return np.array([tricomi_u(a, c, zz, policy) for zz in z])
+    return np.array([tricomi_u(a, c, zz) for zz in z])
 
 
-def tricomi_u_deriv(a, c, z, policy=DEFAULT_POLICY):
+def tricomi_u_deriv(a, c, z):
     """dU/dz through the contiguous relation dU(a,c,z)/dz = -a U(a+1, c+1, z)."""
-    return -a * tricomi_u(a + 1.0, c + 1.0, z, policy)
+    return -a * tricomi_u(a + 1.0, c + 1.0, z)

@@ -65,6 +65,19 @@ def test_kernel_dump_matches_direct_evaluation(tmp_path):
     assert np.array_equal(got, want)
 
 
+def test_kernel_dump_is_finite_at_tiny_coupling(tmp_path):
+    dst = tmp_path / "k.csv"
+    rc = main([
+        "kernel", "--a", "1e-16", "--t", "0.1", "--grid", "-1,1,8",
+        "--output", str(dst),
+    ])
+    assert rc == 0
+    with open(dst) as fh:
+        rows = list(csv.reader(fh))[1:]
+    values = np.array([float(r[2]) for r in rows])
+    assert values.size == 64 and np.all(np.isfinite(values))
+
+
 def test_heat_ho_kernel_route(tmp_path):
     src = tmp_path / "in.csv"
     dst = tmp_path / "out.csv"

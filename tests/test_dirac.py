@@ -15,7 +15,9 @@ from oscwave import (
     spectral_wave_oracle_dirac,
     wave_dirac,
     wave_kernel_dirac,
+    wave_kernel_forms,
 )
+from oscwave import dirac
 
 GRID = make_grid(-16.0, 16.0, 1024)
 GAUSS = SampledFunction(GRID, np.exp(-GRID.points**2).astype(complex))
@@ -80,9 +82,18 @@ def test_wave_kernel_at_unit_argument():
 
 def test_wave_kernel_forms_agree():
     for t, gap in [(1.0, 1.0), (0.5, 2.0), (2.0, 0.25)]:
-        we = wave_kernel_dirac(t, gap, 0.0, form="erfc", cross_check=False)
-        wt = wave_kernel_dirac(t, gap, 0.0, form="tricomi", cross_check=False)
+        we, wt = wave_kernel_forms(t, gap, 0.0)
         assert abs(we - wt) <= 1e-10
+
+
+def test_wave_kernel_raises_when_its_forms_disagree(monkeypatch):
+    exact = dirac.tricomi_u
+    monkeypatch.setattr(dirac, "tricomi_u",
+                        lambda a, c, z: exact(a, c, z) * (1.0 + 1e-6))
+    we, wt = wave_kernel_forms(1.0, 1.0, 0.0)
+    assert abs(we - wt) > dirac.FORM_AGREEMENT_TOL
+    with pytest.raises(ArithmeticError, match="forms disagree"):
+        wave_kernel_dirac(1.0, 1.0, 0.0)
 
 
 @settings(max_examples=25)
@@ -104,8 +115,6 @@ def test_wave_kernel_rejects_bad_arguments():
         wave_kernel_dirac(-1.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         wave_kernel_dirac(1.0, 0.5, 0.5)
-    with pytest.raises(ValueError):
-        wave_kernel_dirac(1.0, 1.0, 0.0, form="series")
 
 
 def test_wave_zero_data_stays_zero():
@@ -135,10 +144,6 @@ def test_wave_window_must_fit_the_grid():
     V0 = SampledFunction(g, np.exp(-g.points**2).astype(complex))
     with pytest.raises(ValueError):
         wave_dirac(V0, 9.0)
-    with pytest.raises(ValueError):
-        wave_dirac(V0, 1.0, n_quad=256)
-    with pytest.raises(ValueError):
-        wave_dirac(V0, 1.0, n_quad=7)
 
 
 def test_oracle_turns_constants_into_linear_growth():

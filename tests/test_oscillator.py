@@ -104,6 +104,19 @@ def test_kernels_survive_long_times():
         assert np.isfinite(k) and k > 0.0
 
 
+@pytest.mark.parametrize("at", [1e-17, 1e-13])
+def test_kernels_reach_the_free_line_limit_at_small_at(at):
+    """As at -> 0 the oscillator kernel tends to the free heat kernel
+    (4 pi t)^{-1/2} e^{-(x-x')^2/4t}; the gap is O((at)^2), far below
+    rounding here, so only cancellation in 1 - e^{-4at} could show."""
+    t, x, xp = 0.1, 0.3, -0.2
+    free = np.exp(-((x - xp) ** 2) / (4.0 * t)) / np.sqrt(4.0 * np.pi * t)
+    p = OscillatorParams(at / t, t)
+    for variant in ("mehler", "paper_corrected"):
+        k = heat_kernel(variant, p, x, xp)
+        assert abs(k - free) <= 1e-13 * free, variant
+
+
 def test_mode_sum_reproduces_the_kernel():
     """Truncated eigenfunction sum against the closed form; 50 modes at
     at = 0.3 leave a remainder below machine noise on [-3, 3]."""

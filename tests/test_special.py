@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oscwave import UEvalPolicy, erfc_paper, tricomi_u, tricomi_u_deriv
+from oscwave import erfc_paper, tricomi_u, tricomi_u_deriv
 from oscwave.special import tricomi_u_small_z
 
 SQRT_PI = np.sqrt(np.pi)
@@ -98,5 +98,3 @@ def test_u_domain_and_policy_validation():
         tricomi_u(-1.0, 1.5, 1.0)
     with pytest.raises(ValueError):
         tricomi_u(1.0, 1.5, -2.0)
-    with pytest.raises(ValueError):
-        UEvalPolicy(quadrature_points=10)
