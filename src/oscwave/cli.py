@@ -42,13 +42,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _inline_grid_values(argv):
-    """Glue '--grid min,max,n' into one token so a leading minus parses."""
+# flags whose value may start with a minus sign ('-1e-3', '-inf', '-2,2,16'),
+# which argparse would otherwise take for an option
+_SIGNED_FLAGS = ("--t", "--a", "--dy", "--grid")
+
+
+def _glue_signed_values(argv):
+    """Glue '--t -inf' and the like into one token so a leading minus parses."""
     out = []
     i = 0
     while i < len(argv):
-        if argv[i] == "--grid" and i + 1 < len(argv):
-            out.append("--grid=" + argv[i + 1])
+        if argv[i] in _SIGNED_FLAGS and i + 1 < len(argv):
+            out.append(argv[i] + "=" + argv[i + 1])
             i += 2
         else:
             out.append(argv[i])
@@ -209,7 +214,7 @@ _DISPATCH = {
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(_inline_grid_values(argv))
+    args = build_parser().parse_args(_glue_signed_values(argv))
     try:
         return _DISPATCH[args.subcommand](args)
     except (ValueError, OSError) as err:

@@ -62,6 +62,9 @@ def read_function_csv(path):
     if len(xs) < 2:
         raise ValueError(f"{path}: need at least two samples")
     x = np.asarray(xs)
+    bad = np.nonzero(~np.isfinite(x))[0]
+    if bad.size:
+        raise ValueError(f"{path}: non-finite x at data row {bad[0] + 1}")
     h = x[1] - x[0]
     if h <= 0:
         raise ValueError(f"{path}: x must be strictly increasing (row 2)")

@@ -35,6 +35,11 @@ class ShiftCoverageWarning(UserWarning):
     """Translation pulled data across the periodic seam of the grid."""
 
 
+def _check_time(t):
+    if not (np.isfinite(t) and t >= 0):
+        raise ValueError("time t must be non-negative and finite")
+
+
 def heat_dirac(U0, t):
     """Translate U0 by t: the transport solution U(t, X) = U0(X + t).
 
@@ -43,8 +48,7 @@ def heat_dirac(U0, t):
     support would be pushed across the grid boundary re-enters on the
     other side; that case is flagged with ShiftCoverageWarning.
     """
-    if t < 0:
-        raise ValueError("transport flow is defined for t >= 0")
+    _check_time(t)
     if t == 0:
         return SampledFunction(U0.grid, U0.values.copy())
     _warn_if_wrapping(U0, t)
@@ -112,8 +116,7 @@ def wave_dirac(V0, t):
         V(t, X) = (2/sqrt(pi)) t * int_0^1 Erfc(sqrt(t/2)/sigma)
                   [V0(X - u) + V0(X + u)] sigma dsigma,   u = sigma^2 t/2.
     """
-    if t < 0:
-        raise ValueError("the wave solution is computed for t >= 0")
+    _check_time(t)
     g = V0.grid
     if t == 0:
         return SampledFunction(g, np.zeros(g.n, dtype=complex))
@@ -164,6 +167,8 @@ def spectral_wave_oracle_dirac(V0, t):
     suppression of spectrally dead bins, which would otherwise be blown
     up exponentially by the multiplier.
     """
+    if not np.isfinite(t):
+        raise ValueError("time t must be finite")
     F = forward_ft(V0)
     xi = F.xi_grid.points
     vals = F.values.copy()

@@ -1,11 +1,17 @@
 import csv
+import io
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
+from contextlib import redirect_stderr
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscwave import (
     OscillatorParams,
@@ -255,3 +261,89 @@ def test_domain_violation_exits_one(tmp_path, capsys):
     ])
     assert rc == 1
     assert "positive" in capsys.readouterr().err
+
+
+def _run_quietly(argv):
+    """main(argv) with stderr and warnings captured: (status, stderr, warnings)."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stderr(err):
+        warnings.simplefilter("always")
+        rc = main(argv)
+    return rc, err.getvalue(), [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("command", ["heat-dirac", "wave-dirac"])
+@pytest.mark.parametrize("t", ["nan", "inf"])
+def test_dirac_flows_reject_non_finite_time(tmp_path, command, t):
+    src = tmp_path / "in.csv"
+    _write_gaussian(src, lo=-8.0, hi=8.0, n=64)
+    rc, err, caught = _run_quietly([command, "--t", t, "--input", str(src),
+                                    "--output", str(tmp_path / "out.csv")])
+    assert rc == 1
+    assert err == "oscwave: time t must be non-negative and finite\n"
+    assert caught == []
+
+
+def _finite_float(text):
+    try:
+        return bool(np.isfinite(float(text)))
+    except ValueError:
+        return False
+
+
+_CSV_ROWS = [[repr(float(x)), repr(float(np.exp(-x * x))), "0.0"]
+             for x in make_grid(-4.0, 4.0, 16).points]
+_NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
+
+
+@st.composite
+def malformed_calls(draw):
+    """A propagation subcommand with exactly one malformed flag or input."""
+    command = draw(st.sampled_from(["heat-dirac", "wave-dirac", "heat-ho", "wave-ho"]))
+    routes = {"heat-ho": ["kernel", "spectral", "intertwine", "oracle"],
+              "wave-ho": ["direct", "oracle"], "wave-dirac": ["direct", "oracle"]}
+    defects = ["t", "empty", "header only", "short row", "bad field"]
+    if command.endswith("-ho"):
+        defects.append("a")
+    defect = draw(st.sampled_from(defects))
+    t, a = "0.3", "1.0"
+    header, rows = ["x", "re", "im"], [list(r) for r in _CSV_ROWS]
+    if defect == "t":
+        t = repr(draw(_NON_FINITE))
+    elif defect == "a":
+        a = repr(draw(st.one_of(_NON_FINITE, st.floats(max_value=0.0))))
+    elif defect == "empty":
+        header, rows = None, []
+    elif defect == "header only":
+        header, rows = header[: draw(st.integers(2, 3))], []
+    else:
+        i = draw(st.integers(0, len(rows) - 1))
+        if defect == "short row":
+            rows[i] = rows[i][:1]
+        else:
+            field = draw(st.one_of(
+                st.sampled_from(["nan", "inf", "-inf", ""]),
+                st.text("abcxyz.-+eE ", max_size=5).filter(
+                    lambda s: not _finite_float(s))))
+            rows[i][draw(st.integers(0, 2))] = field
+    text = "" if header is None else "\n".join(",".join(r) for r in [header] + rows) + "\n"
+    argv = [command, "--t", t]
+    if command.endswith("-ho"):
+        argv += ["--a", a]
+    if command in routes:
+        argv += ["--route", draw(st.sampled_from(routes[command]))]
+    return argv, text
+
+
+@settings(max_examples=150)
+@given(malformed_calls())
+def test_malformed_input_exits_one_with_a_message(call):
+    argv, text = call
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "in.csv"
+        src.write_text(text)
+        rc, err, caught = _run_quietly(
+            argv + ["--input", str(src), "--output", str(Path(tmp) / "out.csv")])
+    assert rc == 1, (argv, text)
+    assert err.startswith("oscwave: "), (argv, text)
+    assert caught == [], (argv, text)

@@ -72,6 +72,18 @@ def test_read_rejects_non_numeric_fields(tmp_path):
         read_function_csv(p)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_read_rejects_non_finite_x(tmp_path, bad):
+    # the grid is rebuilt from the first x and the spacing, so a non-finite
+    # x further down would otherwise pass the uniformity check unseen
+    p = tmp_path / "x.csv"
+    rows = [f"{0.5 * i},1.0,0.0" for i in range(10)]
+    rows[5] = f"{bad},1.0,0.0"
+    p.write_text("x,re,im\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match=r"x\.csv: non-finite x at data row 6"):
+        read_function_csv(p)
+
+
 def test_kernel_dump_layout(tmp_path):
     x = np.array([0.0, 1.0])
     xp = np.array([0.0, 0.5, 1.0])

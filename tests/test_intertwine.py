@@ -21,7 +21,7 @@ from oscwave import (
     weight,
 )
 from oscwave.fourier import SpectralFunction
-from oscwave.intertwine import _centered_d
+from oscwave.intertwine import _centered_d, _inverse_phase_sums, _phase_sums
 
 GRID = make_grid(-12.0, 12.0, 2048)
 X = GRID.points
@@ -91,6 +91,39 @@ def test_window_branches_of_complex_uneven_data_match_a_plain_sum():
         spectrum = np.exp(-1j * sign * np.outer(xi, x)) @ damped * g.spacing
         want = np.sqrt(xi) * np.exp(xi**2 / (4.0 * a)) * spectrum / np.sqrt(2.0 * np.pi)
         assert np.max(np.abs(side.values - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n_x", [8, 257, 1000])
+def test_factorized_phase_sums_match_a_long_double_direct_sum(n_x):
+    """Forward and inverse phase sums on grid sizes that are no power of two
+    (257 is prime) against every term e^{-i xi x} formed in long double.
+
+    The grid is off-center, so a dropped e^{-i xi x0} factor shows; the
+    data is complex and uneven, and each inverse branch runs alone, so a
+    swapped sign shows in either direction.
+    """
+    rng = np.random.default_rng(n_x)
+    g = make_grid(-3.3, 5.1, n_x)
+    n_xi = 63
+    xi = np.sort(rng.uniform(0.02, 0.9, n_xi)) * np.pi / g.spacing
+    ld = np.longdouble
+    theta = np.multiply.outer(xi.astype(ld), ld(g.x_min) + ld(g.spacing) * np.arange(n_x))
+    phases = np.cos(theta) - 1j * np.sin(theta)
+
+    def assert_close(got, want):
+        want = want.astype(complex)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    values = rng.normal(size=n_x) + 1j * rng.normal(size=n_x)
+    scale = g.spacing / np.sqrt(2.0 * np.pi)
+    g_plus, g_minus = _phase_sums(values, g, xi)
+    assert_close(g_plus, scale * (phases @ values))
+    assert_close(g_minus, scale * (phases.conj() @ values))
+
+    c = rng.normal(size=n_xi) + 1j * rng.normal(size=n_xi)
+    zero = np.zeros(n_xi, dtype=complex)
+    assert_close(_inverse_phase_sums(g, xi, c, zero), c @ phases.conj())
+    assert_close(_inverse_phase_sums(g, xi, zero, c), c @ phases)
 
 
 def test_branch_spectra_deweights_to_the_damped_spectrum():
