@@ -19,7 +19,6 @@ from .grids import (
     rel_l2_error,
     residual_convergence_order,
     sample,
-    sample_at,
 )
 from .fourier import (
     EdgeDecayWarning,
@@ -128,7 +127,6 @@ __all__ = [
     "residual_convergence_order",
     "run_suite",
     "sample",
-    "sample_at",
     "spectral_resample",
     "spectral_wave_oracle_dirac",
     "suite_failed",

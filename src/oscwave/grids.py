@@ -18,7 +18,6 @@ __all__ = [
     "make_report",
     "sample",
     "quadrature",
-    "sample_at",
     "fd_residual",
     "residual_convergence_order",
     "rel_l2_error",
@@ -172,45 +171,6 @@ def quadrature(f):
     """
     w = quadrature_weights(f.grid.n)
     return complex(f.grid.spacing * np.dot(w, f.values))
-
-
-# stencil width of sample_at (number of samples per local Lagrange fit)
-SAMPLE_ORDER = 8
-
-
-def sample_at(f, targets):
-    """Evaluate a SampledFunction at off-grid points by local polynomial
-    interpolation on the uniform grid, SAMPLE_ORDER samples per stencil.
-
-    Targets outside the sampled span read 0.  Smooth, decayed data is
-    assumed; the error is O(h^SAMPLE_ORDER).
-    """
-    x = np.asarray(targets, dtype=float)
-    g = f.grid
-    h = g.spacing
-    pos = (x - g.x_min) / h
-    inside = (pos >= 0.0) & (pos <= g.n - 1)
-    out = np.zeros(x.shape, dtype=complex)
-    if not np.any(inside):
-        return out
-    p = pos[inside]
-    # leftmost stencil index, clamped so the stencil stays on the grid
-    left = np.clip(np.floor(p).astype(int) - (SAMPLE_ORDER // 2 - 1), 0,
-                   g.n - SAMPLE_ORDER)
-    # fractional position within the stencil, in [0, SAMPLE_ORDER - 1]
-    s = p - left
-    # Lagrange basis on the integer stencil nodes evaluated at s; the product
-    # form has no divisions by (s - node), so exact node hits are harmless
-    diffs = s[:, None] - np.arange(SAMPLE_ORDER)[None, :]
-    vals = np.zeros(p.shape, dtype=complex)
-    for i in range(SAMPLE_ORDER):
-        li = np.ones(p.shape)
-        for j in range(SAMPLE_ORDER):
-            if j != i:
-                li *= diffs[:, j] / (i - j)
-        vals += li * f.values[left + i]
-    out[inside] = vals
-    return out
 
 
 def _d1(values, h):

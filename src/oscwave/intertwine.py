@@ -39,7 +39,7 @@ import warnings
 
 import numpy as np
 
-from .fourier import forward_ft, inverse_ft
+from .fourier import SQRT_2PI, forward_ft, inverse_ft
 from .grids import Grid1D, SampledFunction, make_grid, make_report
 
 __all__ = [
@@ -52,8 +52,6 @@ __all__ = [
     "derive_params",
     "oscillator_apply",
 ]
-
-SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 # spectral tail below this fraction of the peak counts as decayed (the
 # admissible-data precondition)

@@ -7,8 +7,6 @@ The registry maps check names to functions returning lists of reports;
 random data always comes from seeded generators.
 """
 
-import warnings
-
 import numpy as np
 
 from .dirac import (heat_dirac, spectral_wave_oracle_dirac, wave_dirac,
@@ -170,9 +168,7 @@ def check_heat_route_equivalence():
     u0 = _eigen_mix(a, g.points, rng.standard_normal(8))
     f0 = SampledFunction(g, u0)
     p = OscillatorParams(a, 0.4)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        uk = heat_ho_kernel_route(f0, p)
+    uk = heat_ho_kernel_route(f0, p)
     us = heat_ho_spectral_route(f0, p)
     ui = heat_via_intertwining(f0, p, ip=derive_params(a, g, f0, n_X=4096))
     pairs = [("kernel_vs_spectral", uk, us),
@@ -195,9 +191,7 @@ def check_eigenfunction_decay():
         worst = 0.0
         for n in range(5):
             hn = hermite_fn(n, a, x)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                u = heat_ho_kernel_route(SampledFunction(g, hn.astype(complex)), p)
+            u = heat_ho_kernel_route(SampledFunction(g, hn.astype(complex)), p)
             expect = SampledFunction(g, (np.exp(-(2 * n + 1) * a * p.t) * hn
                                          ).astype(complex))
             worst = max(worst, rel_l2_error(u, expect))
@@ -284,9 +278,7 @@ def check_dirac_wave_initial_conditions():
     ts = (1.0e-2, 1.0e-3, 1.0e-4)
     deficits = []
     for t in ts:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            V = wave_dirac(V0, t)
+        V = wave_dirac(V0, t)
         deficits.append(float(np.max(np.abs(V.values / t - 1.0)[interior])))
     rates = [np.log(deficits[i] / deficits[i + 1]) / np.log(10.0)
              for i in range(2)]

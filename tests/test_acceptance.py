@@ -8,6 +8,7 @@ shown but never graded.
 """
 
 import time
+import warnings
 
 import pytest
 
@@ -135,3 +136,13 @@ def test_total_runtime_within_budget(acceptance, capsys):
     with capsys.disabled():
         print(f"[**] total check time {total:.1f}s of {TOTAL_BUDGET:.0f}s")
     assert total <= TOTAL_BUDGET
+
+
+@pytest.mark.parametrize("name", ["heat_route_equivalence", "eigenfunction_decay",
+                                  "dirac_wave_initial_conditions"])
+def test_checks_run_without_warnings(name):
+    """On their fixed data these checks raise no warning; one that starts
+    warning is a regression to look at."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        CHECKS[name]()

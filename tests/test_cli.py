@@ -272,16 +272,27 @@ def _run_quietly(argv):
     return rc, err.getvalue(), [str(w.message) for w in caught]
 
 
-@pytest.mark.parametrize("command", ["heat-dirac", "wave-dirac"])
-@pytest.mark.parametrize("t", ["nan", "inf"])
-def test_dirac_flows_reject_non_finite_time(tmp_path, command, t):
+def _assert_bad_time(tmp_path, command, t):
     src = tmp_path / "in.csv"
     _write_gaussian(src, lo=-8.0, hi=8.0, n=64)
-    rc, err, caught = _run_quietly([command, "--t", t, "--input", str(src),
+    rc, err, caught = _run_quietly([*command.split(), "--t", t, "--input", str(src),
                                     "--output", str(tmp_path / "out.csv")])
     assert rc == 1
     assert err == "oscwave: time t must be non-negative and finite\n"
     assert caught == []
+
+
+@pytest.mark.parametrize("command", [
+    "heat-dirac", "wave-dirac",
+    pytest.param("wave-dirac --route oracle", id="wave-dirac-oracle")])
+@pytest.mark.parametrize("t", ["nan", "inf"])
+def test_dirac_flows_reject_non_finite_time(tmp_path, command, t):
+    _assert_bad_time(tmp_path, command, t)
+
+
+@pytest.mark.parametrize("route", ["direct", "oracle"])
+def test_wave_dirac_routes_reject_negative_time(tmp_path, route):
+    _assert_bad_time(tmp_path, f"wave-dirac --route {route}", "-0.5")
 
 
 def _finite_float(text):

@@ -146,6 +146,46 @@ def test_wave_window_must_fit_the_grid():
         wave_dirac(V0, 9.0)
 
 
+def _off_centre_gaussian(x):
+    return np.exp(-((x - 0.7) ** 2) / 2.0 + 1.3j * x)
+
+
+@pytest.mark.parametrize("n", [512, 777, 1024])
+@pytest.mark.parametrize("t", [1e-3, 0.3, 7.9])
+def test_wave_equals_its_simpson_sum_over_exact_translates(n, t):
+    """The convolution reproduces the 256-node Simpson sum taken with the
+    analytic translates G(X -+ u); t = 7.9 is near the t/2 < span/4 limit."""
+    g = make_grid(-8.0, 8.0, n)
+    X = g.points
+    sigma = np.linspace(0.0, 1.0, 257)
+    w = np.ones(257)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    w *= (sigma[1] - sigma[0]) / 3.0
+    s, w = sigma[1:, None], w[1:, None]
+    u = s * s * t / 2.0
+    # (2/sqrt(pi)) erfc_paper(z) is the standard erfc(z)
+    terms = t * w * erfc_std(np.sqrt(t / 2.0) / s) * s * (
+        _off_centre_gaussian(X - u) + _off_centre_gaussian(X + u))
+    expect = terms.sum(axis=0)
+    V = wave_dirac(SampledFunction(g, _off_centre_gaussian(X)), t)
+    assert np.max(np.abs(V.values - expect)) <= 1e-9 * np.max(np.abs(expect))
+
+
+def test_wave_reads_zero_outside_the_samples():
+    g = make_grid(-8.0, 8.0, 512)
+    vals = np.zeros(g.n, dtype=complex)
+    vals[-3:] = [1.0, -2.0 + 0.5j, 0.5]
+    t = 1.0
+    reach = int(np.ceil(t / 2.0 / g.spacing))
+    V = wave_dirac(SampledFunction(g, vals), t).values
+    far = g.n - 3 - (reach + 8)
+    # exactly zero away from the data, the first samples included, so
+    # nothing wraps around from the far end
+    assert np.all(V[:far] == 0.0)
+    assert np.all(V[g.n - 3 - reach // 2:] != 0.0)
+
+
 def test_oracle_turns_constants_into_linear_growth():
     g = make_grid(-8.0, 8.0, 512)
     with warnings.catch_warnings():

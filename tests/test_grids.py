@@ -14,7 +14,6 @@ from oscwave import (
     rel_l2_error,
     residual_convergence_order,
     sample,
-    sample_at,
 )
 from oscwave.grids import VerificationReport
 
@@ -98,21 +97,6 @@ def test_quadrature_odd_symmetry(seed):
     v = rng.standard_normal(129)
     odd = SampledFunction(g, v - v[::-1])
     assert abs(quadrature(odd)) <= 1e-12 * max(np.max(np.abs(odd.values)), 1.0)
-
-
-def test_sample_at_smooth_interpolation():
-    g = make_grid(-6.0, 6.0, 512)
-    f = sample(g, lambda x: np.exp(-(x**2) / 2) * np.cos(2 * x))
-    targets = np.array([-1.234567, 0.1, 2.71828])
-    exact = np.exp(-(targets**2) / 2) * np.cos(2 * targets)
-    assert np.max(np.abs(sample_at(f, targets) - exact)) <= 1e-9
-
-
-def test_sample_at_fill_outside():
-    g = make_grid(-1.0, 1.0, 64)
-    f = sample(g, lambda x: np.ones_like(x))
-    out = sample_at(f, np.array([5.0, -7.0]))
-    assert np.all(out == 0.0)
 
 
 def test_rel_l2_error_basics():
