@@ -16,22 +16,15 @@ import numpy as np
 
 from oscwave import (
     OscillatorParams,
-    SampledFunction,
+    SpectralCoefficients,
     derive_params,
     heat_ho_kernel_route,
     heat_ho_spectral_route,
     heat_via_intertwining,
-    hermite_fn,
     make_grid,
+    reconstruct,
     rel_l2_error,
 )
-
-
-def mode_mix(a, x, n_modes, rng):
-    out = np.zeros_like(x, dtype=complex)
-    for n, c in enumerate(rng.standard_normal(n_modes)):
-        out += c * hermite_fn(n, a, x)
-    return out
 
 
 def main():
@@ -48,7 +41,8 @@ def main():
     times = [float(s) for s in args.times.split(",")]
     g = make_grid(-12.0, 12.0, 2048)
     rng = np.random.default_rng(args.seed)
-    u0 = SampledFunction(g, mode_mix(args.a, g.points, args.modes, rng))
+    u0 = reconstruct(
+        SpectralCoefficients(args.a, rng.standard_normal(args.modes)), g)
     ip = derive_params(args.a, g, u0, n_X=4096)
 
     rows = []

@@ -18,13 +18,18 @@ def _fmt(v):
     return "%.17g" % v
 
 
+def _write_columns(path, header, cols):
+    # the csv module's default dialect, written in one call: comma
+    # delimiter, CRLF line ends, no quoting (numbers never need it)
+    with open(path, "w", newline="") as fh:
+        np.savetxt(fh, cols, fmt="%.17g", delimiter=",", newline="\r\n",
+                   header=header, comments="")
+
+
 def write_function_csv(f, path):
     """Dump a SampledFunction as rows of x, Re, Im."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "re", "im"])
-        for x, v in zip(f.grid.points, f.values):
-            w.writerow([_fmt(x), _fmt(v.real), _fmt(v.imag)])
+    _write_columns(path, "x,re,im",
+                   np.column_stack([f.grid.points, f.values.real, f.values.imag]))
 
 
 def read_function_csv(path):
@@ -85,12 +90,8 @@ def write_kernel_csv(x, xp, values, path):
     values = np.asarray(values)
     if values.shape != (len(x), len(xp)):
         raise ValueError("kernel shape does not match the coordinate axes")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "xp", "value"])
-        for i, xi in enumerate(x):
-            for j, xj in enumerate(xp):
-                w.writerow([_fmt(xi), _fmt(xj), _fmt(values[i, j])])
+    _write_columns(path, "x,xp,value", np.column_stack(
+        [np.repeat(x, len(xp)), np.tile(xp, len(x)), values.ravel()]))
 
 
 def write_report_csv(reports, path):

@@ -76,32 +76,37 @@ def _warn_if_wrapping(U0, t):
 
 
 def wave_kernel_forms(t, X, Xp):
-    """Wave kernel of the derivative operator at one point pair, in its two
-    algebraically identical closed forms: (Erfc form, Tricomi form)."""
-    if t <= 0:
+    """Wave kernel of the derivative operator in its two algebraically
+    identical closed forms, (Erfc form, Tricomi form), broadcast over t,
+    X and X'.  Scalar arguments give floats."""
+    t = np.asarray(t, dtype=float)
+    gap = np.abs(np.asarray(X, dtype=float) - np.asarray(Xp, dtype=float))
+    if np.any(t <= 0):
         raise ValueError("the wave kernel needs t > 0")
-    gap = abs(X - Xp)
-    if gap == 0:
+    if np.any(gap == 0):
         raise ValueError("X == X' makes the kernel argument singular")
     z2 = t * t / (4.0 * gap)
-    w_erfc = (2.0 / SQRT_PI) * float(erfc_paper(np.sqrt(z2)))
-    w_tric = (t / np.sqrt(4.0 * np.pi * gap)) * np.exp(-z2) * float(
-        tricomi_u(1.0, 1.5, z2)
-    )
+    w_erfc = (2.0 / SQRT_PI) * erfc_paper(np.sqrt(z2))
+    w_tric = (t / np.sqrt(4.0 * np.pi * gap)) * np.exp(-z2) * tricomi_u(
+        1.0, 1.5, z2)
     return w_erfc, w_tric
 
 
 def wave_kernel_dirac(t, X, Xp):
-    """Wave kernel of the derivative operator at one point pair.
+    """Wave kernel of the derivative operator, broadcast over t, X and X'.
 
     Returns the Erfc form after checking that the Tricomi form agrees
-    with it to 1e-10; a larger gap raises ArithmeticError.
+    with it to 1e-10 everywhere; a larger gap raises ArithmeticError.
     """
     w_erfc, w_tric = wave_kernel_forms(t, X, Xp)
-    if abs(w_erfc - w_tric) > FORM_AGREEMENT_TOL:
+    diff = np.abs(w_erfc - w_tric)
+    worst = np.argmax(diff)
+    if diff.flat[worst] > FORM_AGREEMENT_TOL:
+        t_at, X_at, Xp_at = (np.broadcast_to(v, diff.shape).flat[worst]
+                             for v in (t, X, Xp))
         raise ArithmeticError(
-            f"kernel forms disagree by {abs(w_erfc - w_tric):.3e} at "
-            f"t={t:g}, |X-X'|={abs(X - Xp):g}"
+            f"kernel forms disagree by {diff.flat[worst]:.3e} at "
+            f"t={t_at:g}, |X-X'|={abs(X_at - Xp_at):g}"
         )
     return w_erfc
 
@@ -169,22 +174,6 @@ def wave_dirac(V0, t):
     return SampledFunction(g, (2.0 / SQRT_PI) * t * acc)
 
 
-def _sine_multiplier(t, z):
-    """sin(t sqrt(z))/sqrt(z) for complex z, entire in z and odd in t."""
-    tz = abs(t * t * z)
-    if tz <= 1.0:
-        total = 0.0j
-        term = complex(t)
-        n = 0
-        while abs(term) > 1e-20 * max(abs(total), 1.0) and n < 40:
-            total += term
-            n += 1
-            term *= -z * t * t / ((2 * n) * (2 * n + 1))
-        return total
-    w = t * np.sqrt(complex(z))
-    return t * np.sin(w) / w
-
-
 def spectral_wave_oracle_dirac(V0, t):
     """Independent wave solution by a spectral multiplier.
 
@@ -211,7 +200,10 @@ def spectral_wave_oracle_dirac(V0, t):
             f"t*sqrt(R/2) = {growth:.2f} exceeds {ORACLE_GROWTH_CAP:g}; "
             "the multiplier would amplify the band edge past 1e10"
         )
-    idx = np.nonzero(live)[0]
-    for k in idx:
-        vals[k] *= _sine_multiplier(t, -1j * xi[k])
+    # sin(w)/w at w = t sqrt(z), z = -i xi, on every live bin at once; the
+    # w = 0 bin takes its limit t exactly
+    w = t * np.sqrt(-1j * xi[live])
+    at_zero = w == 0
+    w[at_zero] = 1.0
+    vals[live] *= np.where(at_zero, t, t * np.sin(w) / w)
     return inverse_ft(SpectralFunction(F.xi_grid, vals, F.x_grid))

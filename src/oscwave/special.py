@@ -37,6 +37,9 @@ SQRT_PI = np.sqrt(np.pi)
 U_QUAD_POINTS = 900
 U_SERIES_CUTOFF = 1.0e-12
 
+# most z values integrated in one node table (U_QUAD_POINTS doubles each)
+_U_BLOCK = 1024
+
 
 def erfc_paper(z):
     """Gaussian tail integral_z^inf e^{-t^2} dt for z >= 0.
@@ -68,41 +71,51 @@ def tricomi_u_small_z(a, c, z):
     return lead
 
 
-def _u_integral(a, c, z, n_nodes):
+def _u_integral(a, c, z):
     # substitute t = e^v; integrand e^{-z e^v + a v} (1+e^v)^{c-a-1} decays
     # exponentially as v -> -inf and double-exponentially as v -> +inf,
-    # where the trapezoid rule converges geometrically
-    v_min = -42.0 / a - max(0.0, np.log(z))
+    # where the trapezoid rule converges geometrically.  Row k of the node
+    # table serves z[k]; contiguous rows sum in numpy's pairwise order, so
+    # a z gives the same bits alone or inside an array
+    v_min = -42.0 / a - np.maximum(0.0, np.log(z))
     v_max = np.log(60.0 / z)
     if c < 1.0:
         # the algebraic factor alone already kills the integrand
-        v_max = min(v_max, 48.0 / (1.0 - c))
-    v_max = max(v_max, v_min + 1.0)
-    v = np.linspace(v_min, v_max, n_nodes)
+        v_max = np.minimum(v_max, 48.0 / (1.0 - c))
+    v_max = np.maximum(v_max, v_min + 1.0)
+    v = np.ascontiguousarray(np.linspace(v_min, v_max, U_QUAD_POINTS, axis=-1))
     ev = np.exp(v)
-    log_integrand = -z * ev + a * v + (c - a - 1.0) * np.log1p(ev)
-    integrand = np.exp(log_integrand)
-    dv = v[1] - v[0]
-    total = dv * (np.sum(integrand) - 0.5 * (integrand[0] + integrand[-1]))
+    integrand = np.exp(-z[:, None] * ev + a * v + (c - a - 1.0) * np.log1p(ev))
+    dv = v[:, 1] - v[:, 0]
+    total = dv * (np.sum(integrand, axis=-1)
+                  - 0.5 * (integrand[:, 0] + integrand[:, -1]))
     return total / _gamma(a)
 
 
 def tricomi_u(a, c, z):
-    """Tricomi confluent hypergeometric U(a, c, z) for a > 0, z > 0."""
+    """Tricomi confluent hypergeometric U(a, c, z) for a > 0, z > 0.
+
+    z may be a scalar (the result is a float) or an array of any shape.
+    """
     a = float(a)
     c = float(c)
     if a <= 0:
         raise ValueError("integral representation needs a > 0")
-    if np.ndim(z) == 0:
-        if not np.isfinite(z) or z <= 0:
-            raise ValueError("tricomi_u needs z > 0")
-        if c > 1.0 and z < U_SERIES_CUTOFF:
-            return float(tricomi_u_small_z(a, c, z))
-        return float(_u_integral(a, c, z, U_QUAD_POINTS))
     z = np.asarray(z, dtype=float)
     if np.any(~np.isfinite(z)) or np.any(z <= 0):
         raise ValueError("tricomi_u needs z > 0")
-    return np.array([tricomi_u(a, c, zz) for zz in z])
+    # below the cutoff the small-z form replaces the integral, which is
+    # then not evaluated at all (its node range overflows near 1e-307)
+    small = (z < U_SERIES_CUTOFF) & (c > 1.0)
+    out = np.empty(z.shape)
+    if np.any(small):
+        out[small] = tricomi_u_small_z(a, c, z[small])
+    rest = z[~small]
+    # blocks of at most _U_BLOCK z bound the node table's memory
+    out[~small] = np.concatenate([
+        _u_integral(a, c, block)
+        for block in np.array_split(rest, rest.size // _U_BLOCK + 1)])
+    return float(out) if out.ndim == 0 else out
 
 
 def tricomi_u_deriv(a, c, z):

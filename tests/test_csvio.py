@@ -84,6 +84,33 @@ def test_read_rejects_non_finite_x(tmp_path, bad):
         read_function_csv(p)
 
 
+def test_function_dump_bytes(tmp_path):
+    # read as bytes: universal newlines would hide a changed line end
+    g = make_grid(0.0, 4.0, 8)
+    vals = np.zeros(8, dtype=complex)
+    vals[:3] = [complex(-0.0, 0.1), complex(0.1, 1e-300), complex(1e-300, -0.0)]
+    p = tmp_path / "f.csv"
+    write_function_csv(SampledFunction(g, vals), p)
+    assert p.read_bytes() == (
+        b"x,re,im\r\n"
+        b"0,-0,0.10000000000000001\r\n"
+        b"0.5,0.10000000000000001,1e-300\r\n"
+        b"1,1e-300,-0\r\n"
+        b"1.5,0,0\r\n2,0,0\r\n2.5,0,0\r\n3,0,0\r\n3.5,0,0\r\n")
+
+
+def test_kernel_dump_bytes(tmp_path):
+    K = np.array([[-0.0, 0.1], [1e-300, np.inf]])
+    p = tmp_path / "k.csv"
+    write_kernel_csv(np.array([0.0, 1.0]), np.array([-0.5, 0.5]), K, p)
+    assert p.read_bytes() == (
+        b"x,xp,value\r\n"
+        b"0,-0.5,-0\r\n"
+        b"0,0.5,0.10000000000000001\r\n"
+        b"1,-0.5,1e-300\r\n"
+        b"1,0.5,inf\r\n")
+
+
 def test_kernel_dump_layout(tmp_path):
     x = np.array([0.0, 1.0])
     xp = np.array([0.0, 0.5, 1.0])

@@ -9,7 +9,10 @@ from scipy.special import erfc as erfc_std
 from oscwave import (
     SampledFunction,
     ShiftCoverageWarning,
+    SpectralFunction,
+    forward_ft,
     heat_dirac,
+    inverse_ft,
     make_grid,
     residual_convergence_order,
     spectral_wave_oracle_dirac,
@@ -94,6 +97,31 @@ def test_wave_kernel_raises_when_its_forms_disagree(monkeypatch):
     assert abs(we - wt) > dirac.FORM_AGREEMENT_TOL
     with pytest.raises(ArithmeticError, match="forms disagree"):
         wave_kernel_dirac(1.0, 1.0, 0.0)
+
+
+def test_wave_kernel_forms_broadcast_like_their_scalar_calls():
+    t = np.array([[0.1], [1.0], [2.5]])
+    X = np.array([0.3, -1.0, 4.0, 2.0])
+    we, wt = wave_kernel_forms(t, X, 2.5)
+    assert we.shape == wt.shape == (3, 4)
+    for i in range(3):
+        for j in range(4):
+            pair = wave_kernel_forms(t[i, 0], X[j], 2.5)
+            assert (we[i, j], wt[i, j]) == pair
+    assert np.array_equal(wave_kernel_dirac(t, X, 2.5), we)
+    with pytest.raises(ValueError, match="singular"):
+        wave_kernel_forms(t, X, 4.0)
+    with pytest.raises(ValueError, match="t > 0"):
+        wave_kernel_dirac(np.array([1.0, 0.0]), 1.0, 0.0)
+
+
+def test_wave_kernel_names_its_worst_pair(monkeypatch):
+    exact = dirac.tricomi_u
+    monkeypatch.setattr(dirac, "tricomi_u",
+                        lambda a, c, z: exact(a, c, z) * (1.0 + 1e-6))
+    # the forms differ most where the kernel is largest: the smallest t
+    with pytest.raises(ArithmeticError, match=r"at t=0\.2, \|X-X'\|=3"):
+        wave_kernel_dirac(np.array([0.5, 0.2, 1.0]), 3.0, 0.0)
 
 
 @settings(max_examples=25)
@@ -193,6 +221,33 @@ def test_oracle_turns_constants_into_linear_growth():
         C = SampledFunction(g, np.full(g.n, 0.37, dtype=complex))
         V = spectral_wave_oracle_dirac(C, 0.9)
     assert np.max(np.abs(V.values - 0.9 * 0.37)) <= 1e-13
+
+
+def test_oracle_matches_mpmath_bin_by_bin():
+    """The multiplier sin(t sqrt(z))/sqrt(z), z = -i xi, applied by mpmath
+    to each live bin of the spectrum; the data is live at xi = 0 and on
+    both sides of |t^2 xi| = 1."""
+    mp = pytest.importorskip("mpmath")
+    V0 = SampledFunction(GRID, np.exp(-((GRID.points - 0.5) ** 2) + 0.8j * GRID.points))
+    F = forward_ft(V0)
+    xi = F.xi_grid.points
+    live = np.abs(F.values) > dirac.ORACLE_BAND_TOL * np.max(np.abs(F.values))
+    assert np.any(live & (xi == 0.0))
+    for t in (0.5, 1.0):
+        assert np.any(live & (t * t * np.abs(xi) < 1.0))
+        assert np.any(live & (t * t * np.abs(xi) > 1.0))
+        mult = np.zeros(xi.size, dtype=complex)
+        with mp.workdps(30):
+            for k in np.nonzero(live)[0]:
+                if xi[k] == 0.0:
+                    mult[k] = t
+                else:
+                    root = mp.sqrt(mp.mpc(0.0, -xi[k]))
+                    mult[k] = complex(mp.sin(t * root) / root)
+        ref = inverse_ft(SpectralFunction(F.xi_grid, mult * F.values, F.x_grid))
+        got = spectral_wave_oracle_dirac(V0, t)
+        peak = np.max(np.abs(ref.values))
+        assert np.max(np.abs(got.values - ref.values)) <= 1e-13 * peak
 
 
 def test_oracle_residual_converges_at_second_order():

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from oscwave import erfc_paper, tricomi_u, tricomi_u_deriv
-from oscwave.special import tricomi_u_small_z
+from oscwave.special import U_SERIES_CUTOFF, tricomi_u_small_z
 
 SQRT_PI = np.sqrt(np.pi)
 
@@ -53,6 +53,16 @@ def test_u_against_mpmath():
         for z in (0.05, 0.3, 1.0, 4.0, 20.0):
             ref = float(mp.hyperu(a, c, z))
             assert abs(tricomi_u(a, c, z) - ref) <= 1e-12 * max(1.0, abs(ref))
+        # one array call across U_SERIES_CUTOFF: every element is its scalar
+        # call exactly, and the integral matches mpmath from the cutoff up
+        zs = np.array([1e-14, U_SERIES_CUTOFF, 1e-3, 5.0])
+        us = tricomi_u(a, c, zs)
+        assert us.shape == zs.shape
+        for z, u in zip(zs, us):
+            assert u == tricomi_u(a, c, z)
+            if z >= U_SERIES_CUTOFF:
+                ref = float(mp.hyperu(a, c, z))
+                assert abs(u - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 @pytest.mark.parametrize("z", [0.25, 0.5, 1.0, 2.0, 3.0])
