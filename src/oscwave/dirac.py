@@ -79,8 +79,10 @@ def wave_kernel_forms(t, X, Xp):
     """Wave kernel of the derivative operator in its two algebraically
     identical closed forms, (Erfc form, Tricomi form), broadcast over t,
     X and X'.  Scalar arguments give floats."""
-    t = np.asarray(t, dtype=float)
-    gap = np.abs(np.asarray(X, dtype=float) - np.asarray(Xp, dtype=float))
+    t, X, Xp = (np.asarray(v, dtype=float) for v in (t, X, Xp))
+    if not all(np.all(np.isfinite(v)) for v in (t, X, Xp)):
+        raise ValueError("the wave kernel needs finite t, X and X'")
+    gap = np.abs(X - Xp)
     if np.any(t <= 0):
         raise ValueError("the wave kernel needs t > 0")
     if np.any(gap == 0):

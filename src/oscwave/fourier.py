@@ -12,7 +12,6 @@ d_xi = 2pi/(n h), centered with xi = 0 on-grid.
 import warnings
 
 import numpy as np
-from scipy.signal import czt
 
 from .grids import Grid1D, SampledFunction, make_grid
 
@@ -137,10 +136,26 @@ def spectral_resample(F, scale):
     # recover the space samples, then evaluate their spectrum at
     # xi'_k = scale * d_xi * (k - n//2) via the chirp-z transform
     fvals = inverse_ft(F).values
-    phi = 2.0 * np.pi * scale / n
-    # czt computes sum_j x_j a^{-j} w^{jk}; we need the DFT-style sums
-    # sum_j f_j e^{-i j phi (k - n//2)} for k = 0..n-1
-    sums = czt(fvals, m=n, w=np.exp(-1j * phi), a=np.exp(-1j * phi * (n // 2)))
+    sums = _chirp_z(fvals, 2.0 * np.pi * scale / n, n // 2)
     xi_new = scale * F.xi_grid.points
     vals = (g.spacing / SQRT_2PI) * np.exp(-1j * xi_new * g.x_min) * sums
     return SpectralFunction(F.xi_grid, vals, g)
+
+
+def _chirp_z(x, phi, shift):
+    """The sums sum_j x_j e^{-i phi j (k - shift)} for k = 0..n-1, n = len(x).
+
+    Bluestein's chirp-z transform: with jk = (j^2 + k^2 - (k-j)^2)/2 the
+    sums become one convolution with the chirp e^{i phi m^2/2}, done by
+    zero-padded power-of-two FFTs.  Each chirp phase is formed from the
+    exact integer m^2, so no error compounds along m.
+    """
+    n = x.size
+    m = np.arange(1 - n, n)
+    chirp = np.exp(1j * (0.5 * phi * (m * m)))
+    down = chirp[n - 1:].conj()
+    k = np.arange(n)
+    size = 1 << (2 * n - 2).bit_length()
+    conv = np.fft.ifft(np.fft.fft(x * np.exp(1j * phi * (shift * k)) * down, size)
+                       * np.fft.fft(chirp, size))
+    return down * conv[n - 1:2 * n - 1]

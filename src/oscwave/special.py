@@ -15,9 +15,9 @@ U is singular at z = 0 when c > 1 (it behaves like
 Gamma(c-1)/Gamma(a) * z^{1-c}); use ``tricomi_u_small_z`` for that limit.
 """
 
+import math
+
 import numpy as np
-from scipy.special import erfc as _erfc_std
-from scipy.special import gamma as _gamma
 
 __all__ = [
     "erfc_paper",
@@ -27,6 +27,9 @@ __all__ = [
 ]
 
 SQRT_PI = np.sqrt(np.pi)
+
+# the standard erfc, elementwise over an array
+_erfc_std = np.vectorize(math.erfc, otypes=[float])
 
 # tricomi_u evaluates the integral representation by the trapezoid rule on
 # U_QUAD_POINTS nodes; below U_SERIES_CUTOFF it substitutes the singular
@@ -65,9 +68,11 @@ def tricomi_u_small_z(a, c, z):
     """
     if c <= 1:
         raise ValueError("small-z singular form applies to c > 1 only")
-    lead = _gamma(c - 1.0) / _gamma(a) * z ** (1.0 - c)
-    if c < 2.0:
-        lead += _gamma(1.0 - c) / _gamma(a - c + 1.0)
+    lead = math.gamma(c - 1.0) / math.gamma(a) * z ** (1.0 - c)
+    b = a - c + 1.0
+    # at the poles b = 0, -1, -2, ... 1/Gamma(b) and the constant vanish
+    if c < 2.0 and not (b <= 0 and b == int(b)):
+        lead += math.gamma(1.0 - c) / math.gamma(b)
     return lead
 
 
@@ -78,7 +83,9 @@ def _u_integral(a, c, z):
     # table serves z[k]; contiguous rows sum in numpy's pairwise order, so
     # a z gives the same bits alone or inside an array
     v_min = -42.0 / a - np.maximum(0.0, np.log(z))
-    v_max = np.log(60.0 / z)
+    # 60/z overflows below z ~ 3e-307; the floor caps v_max at 694.9
+    # there, above the clamp below for every c < 0.93
+    v_max = np.log(60.0 / np.maximum(z, 1e-300))
     if c < 1.0:
         # the algebraic factor alone already kills the integrand
         v_max = np.minimum(v_max, 48.0 / (1.0 - c))
@@ -89,7 +96,7 @@ def _u_integral(a, c, z):
     dv = v[:, 1] - v[:, 0]
     total = dv * (np.sum(integrand, axis=-1)
                   - 0.5 * (integrand[:, 0] + integrand[:, -1]))
-    return total / _gamma(a)
+    return total / math.gamma(a)
 
 
 def tricomi_u(a, c, z):

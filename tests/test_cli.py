@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import os
 import subprocess
 import sys
@@ -250,6 +251,45 @@ def test_short_csv_rows_exit_one_without_traceback(tmp_path):
     assert done.returncode == 1
     assert "Traceback" not in done.stderr
     assert "short.csv: data row 1" in done.stderr
+
+
+NO_SCIPY_RUN = """
+import json
+import sys
+sys.modules["scipy"] = None   # any import of scipy now fails
+import numpy as np
+import oscwave.cli
+from oscwave import SampledFunction, hermite_fn, make_grid, write_function_csv
+
+tmp = sys.argv[1]
+rng = np.random.default_rng(11)
+g = make_grid(-10.0, 10.0, 256)
+mix = sum(c * hermite_fn(k, 1.0, g.points) for k, c in enumerate(rng.standard_normal(4)))
+write_function_csv(SampledFunction(g, mix.astype(complex)), tmp + "/mix.csv")
+g = make_grid(-8.0, 8.0, 256)
+bump = np.exp(-(g.points - rng.uniform(-1, 1)) ** 2)
+write_function_csv(SampledFunction(g, bump.astype(complex)), tmp + "/bump.csv")
+codes = [
+    oscwave.cli.main(["heat-ho", "--route", "spectral", "--a", "1.0", "--t", "0.3",
+                      "--input", tmp + "/mix.csv", "--output", tmp + "/heat.csv"]),
+    oscwave.cli.main(["wave-dirac", "--route", "direct", "--t", "0.5",
+                      "--input", tmp + "/bump.csv", "--output", tmp + "/wave.csv"]),
+]
+loaded = [m for m, mod in sys.modules.items()
+          if m.split(".")[0] == "scipy" and mod is not None]
+print(json.dumps({"codes": codes, "scipy_modules": loaded}))
+"""
+
+
+def test_runs_without_scipy(tmp_path):
+    pkg_root = Path(oscwave.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(pkg_root))
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"codes": [0, 0], "scipy_modules": []}
+    assert (tmp_path / "heat.csv").stat().st_size > 0
+    assert (tmp_path / "wave.csv").stat().st_size > 0
 
 
 def test_domain_violation_exits_one(tmp_path, capsys):

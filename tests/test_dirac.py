@@ -145,6 +145,14 @@ def test_wave_kernel_rejects_bad_arguments():
         wave_kernel_dirac(1.0, 0.5, 0.5)
 
 
+@pytest.mark.parametrize("kernel", [wave_kernel_forms, wave_kernel_dirac])
+@pytest.mark.parametrize("args", [(np.nan, 1.0, 0.0), (1.0, np.inf, 0.0),
+                                  (1.0, 0.5, -np.inf), (1.0, [0.5, np.nan], 0.0)])
+def test_wave_kernel_names_its_own_non_finite_arguments(kernel, args):
+    with pytest.raises(ValueError, match="wave kernel needs finite t, X and X'"):
+        kernel(*args)
+
+
 def test_wave_zero_data_stays_zero():
     g = make_grid(-8.0, 8.0, 512)
     V = wave_dirac(SampledFunction(g, np.zeros(g.n, dtype=complex)), 1.0)

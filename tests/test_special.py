@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -36,6 +38,14 @@ def test_tail_integral_domain():
         erfc_paper(-0.1)
     with pytest.raises(ValueError):
         erfc_paper(np.nan)
+
+
+def test_tail_integral_against_mpmath():
+    mp = pytest.importorskip("mpmath")
+    zs = np.linspace(0.01, 26.0, 2001)
+    got = erfc_paper(zs)
+    ref = np.array([float(mp.sqrt(mp.pi) / 2 * mp.erfc(z)) for z in zs])
+    assert np.max(np.abs(got - ref) / ref) <= 1e-15
 
 
 def test_u_value_against_tail_identity():
@@ -101,6 +111,22 @@ def test_u_small_z_asymptotics():
     full = tricomi_u(1.0, 1.5, tiny)
     lead = tricomi_u_small_z(1.0, 1.5, tiny)
     assert abs(full - lead) <= 1e-3 * abs(full)
+
+
+def test_u_small_z_at_a_gamma_pole():
+    # a - c + 1 = 0: 1/Gamma vanishes there, so the constant term drops and
+    # only Gamma(1/2)/Gamma(1/2) z^{-1/2} remains
+    u = tricomi_u(0.5, 1.5, 1e-13)
+    assert np.isfinite(u)
+    assert u == pytest.approx(1e-13 ** -0.5, rel=1e-15)
+
+
+def test_u_at_the_smallest_double_warns_nothing():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = tricomi_u(0.5, 0.5, 5e-324)
+    # U(a, c, 0) = Gamma(1-c)/Gamma(a-c+1) for c < 1, here sqrt(pi)
+    assert u == pytest.approx(SQRT_PI, rel=1e-14)
 
 
 def test_u_domain_and_policy_validation():
