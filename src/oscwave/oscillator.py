@@ -11,6 +11,7 @@ routes are compared, never merged.
 import warnings
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .fourier import SpectralFunction, forward_ft, inverse_ft, spectral_resample
 from .grids import SampledFunction, quadrature_weights
@@ -28,6 +29,10 @@ MAX_AT = 300.0
 # integrand tails larger than this fraction of the row peak mean the
 # quadrature domain is cutting into live kernel mass
 TAIL_GUARD = 1.0e-12
+
+# window rows per block when the tail guard needs the integrand's exact
+# peak (each block holds _PEAK_BLOCK x n doubles)
+_PEAK_BLOCK = 256
 
 # fraction of the peak below which the spectral route zeroes its damped
 # result before undamping; it sits above the chirp-transform resampler's
@@ -64,7 +69,7 @@ class KernelTailWarning(UserWarning):
     """Kernel quadrature reached the grid edge with live integrand mass."""
 
 
-def _log_mehler(a, t, x, xp):
+def _mehler_terms(a, t):
     # log of sqrt(a/(2 pi sinh 2at)) with sinh expanded around its
     # dominant exponential so large at cannot overflow; 1 - e^{-4at} comes
     # from expm1 so small at keeps its digits
@@ -76,27 +81,70 @@ def _log_mehler(a, t, x, xp):
     # coth 2at = 1 + 2q/(1-q), 1/sinh 2at = 2 e^{-y}/(1-q), both exact
     coth = 1.0 + 2.0 * q / one_q
     inv_sinh = 2.0 * np.exp(-y) / one_q
+    return log_pref, coth, inv_sinh
+
+
+def _log_mehler(a, t, x, xp):
+    log_pref, coth, inv_sinh = _mehler_terms(a, t)
     return log_pref - 0.5 * a * (x * x + xp * xp) * coth + a * x * xp * inv_sinh
+
+
+def _corrected_terms(a, t):
+    one_q = -np.expm1(-4.0 * a * t)
+    r = np.exp(-2.0 * a * t)
+    log_pref = 0.5 * (np.log(a) - np.log(np.pi)) - a * t - 0.5 * np.log(one_q)
+    return log_pref, one_q, r
 
 
 def _log_corrected(a, t, x, xp):
     # sqrt(a/pi) e^{-at} (1-e^{-4at})^{-1/2}
     #   * exp[-a (x - x' e^{-2at})^2 / (1-e^{-4at}) + (a/2)(x^2 - x'^2)]
-    one_q = -np.expm1(-4.0 * a * t)
-    r = np.exp(-2.0 * a * t)
-    log_pref = 0.5 * (np.log(a) - np.log(np.pi)) - a * t - 0.5 * np.log(one_q)
+    log_pref, one_q, r = _corrected_terms(a, t)
     return log_pref - a * (x - xp * r) ** 2 / one_q + 0.5 * a * (x * x - xp * xp)
+
+
+def _literal_terms(a, t):
+    s = np.exp(2.0 * a * t) - np.exp(-2.0 * a * t)
+    log_pref = np.log(a) + 0.5 * (np.log(2.0) - np.log(np.pi)) - 0.5 * np.log(s)
+    return log_pref, s
 
 
 def _literal(a, t, x, xp):
     # as printed: positive exponent and prefactor a sqrt(2/pi); evaluated
     # faithfully, so moderate arguments can already overflow to inf
-    s = np.exp(2.0 * a * t) - np.exp(-2.0 * a * t)
-    log_pref = np.log(a) + 0.5 * (np.log(2.0) - np.log(np.pi)) - 0.5 * np.log(s)
+    log_pref, s = _literal_terms(a, t)
     expo = (np.exp(a * t) * x - np.exp(-a * t) * xp) ** 2 / s \
         + 0.5 * a * (x * x - xp * xp)
     with np.errstate(over="ignore"):
         return np.exp(log_pref + expo)
+
+
+def _exponent_coefficients(variant, a, t):
+    """(c0, cl, cr, B) with log K(t, x, x') = c0 + cl x^2 + cr x'^2 - (B/2)(x - x')^2.
+
+    Each variant's own printed exponent is a quadratic form
+    c0 + alpha x^2 + beta x'^2 + B x x'; writing B x x' as
+    (B/2)(x^2 + x'^2) - (B/2)(x - x')^2 gives cl = alpha + B/2 and
+    cr = beta + B/2.  Both sums cancel to O(at) at small at, so they are
+    simplified by hand below instead of being added in floating point.
+    """
+    if variant == "mehler":
+        log_pref, _, inv_sinh = _mehler_terms(a, t)
+        # -(a/2) coth 2at + (a/2) / sinh 2at = -(a/2) tanh at
+        cl = -0.5 * a * np.tanh(a * t)
+        return log_pref, cl, cl, a * inv_sinh
+    if variant == "paper_corrected":
+        log_pref, one_q, r = _corrected_terms(a, t)
+        # x^2: -a/(1-r^2) + a/2 + a r/(1-r^2);  x'^2: -a r^2/(1-r^2) - a/2
+        # + a r/(1-r^2); both reduce to -(a/2)(1-r)/(1+r)
+        cl = 0.5 * a * np.expm1(-2.0 * a * t) / (1.0 + r)
+        return log_pref, cl, cl, 2.0 * a * r / one_q
+    log_pref, s = _literal_terms(a, t)
+    # x^2: e^{2at}/s + a/2 - 1/s = 1/(1 + e^{-2at}) + a/2;
+    # x'^2: e^{-2at}/s - a/2 - 1/s = -1/(1 + e^{2at}) - a/2
+    cl = 1.0 / (1.0 + np.exp(-2.0 * a * t)) + 0.5 * a
+    cr = -1.0 / (1.0 + np.exp(2.0 * a * t)) - 0.5 * a
+    return log_pref, cl, cr, -2.0 / s
 
 
 def heat_kernel(variant, p, x, xp):
@@ -119,27 +167,80 @@ def heat_kernel(variant, p, x, xp):
 def heat_ho_kernel_route(u0, p, variant="mehler"):
     """Propagate u0 by quadrature against the heat kernel.
 
+    The kernel matrix factors as K = D_L G D_R: with log K = c0 + cl x^2
+    + cr x'^2 - (B/2)(x - x')^2 (each variant's own coefficients), D_L and
+    D_R are the diagonals e^{c0 + cl x^2} and e^{cr x'^2}, and G is the
+    Toeplitz matrix of g_k = e^{-(B/2)(kh)^2}, k = -(n-1)..(n-1).  So the
+    quadrature h D_L G D_R (u w), w the grid's quadrature weights, costs
+    4n exponentials and one np.convolve.  The convolution stays a direct
+    sum, not an FFT, so this route shares no machinery with the spectral
+    route.  Each factor is scaled so that its largest entry is e^{S/3},
+    S the sum of the three largest exponents; a kernel whose quadrature
+    still leaves the double range (the literal variant at small at or on
+    wide grids) raises ValueError.
+
     The x' integral runs over u0's own grid, so the data (not the kernel,
-    which is globally positive) must have decayed at the grid ends; a
-    KernelTailWarning reports live integrand mass at the edges.
+    which is globally positive) must have decayed at the grid ends: a
+    KernelTailWarning reports an edge column of the integrand K_ij u_j
+    larger than TAIL_GUARD times its peak.  The edge columns cost O(n).
+    The integrand's diagonal bounds its peak from below, which settles the
+    common, quiet case; otherwise the exact peak is taken over the n^2
+    products without any exponential.
     """
+    if variant not in HEAT_KERNEL_VARIANTS:
+        raise ValueError(f"unknown heat kernel variant {variant!r}")
     if p.t <= 0:
         raise ValueError("the kernel route needs t > 0; at t = 0 it is the identity")
     g = u0.grid
+    n = g.n
     x = g.points
-    w = quadrature_weights(g.n)
-    K = heat_kernel(variant, p, x[:, None], x[None, :])
-    integrand = K * u0.values[None, :]
-    peak = np.max(np.abs(integrand))
-    edge = max(np.max(np.abs(integrand[:, 0])), np.max(np.abs(integrand[:, -1])))
-    if peak > 0.0 and edge > TAIL_GUARD * peak:
+    d = g.spacing * np.arange(1 - n, n)
+    c0, cl, cr, B = _exponent_coefficients(variant, p.a, p.t)
+    # log K(x_i, x_j) = e_l[i] + e_g[n - 1 + i - j] + e_r[j]
+    e_l = c0 + cl * x * x
+    e_g = -0.5 * B * d * d
+    e_r = cr * x * x
+    third = (e_l.max() + e_g.max() + e_r.max()) / 3.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        left, gauss, right = (np.exp(e - e.max() + third) for e in (e_l, e_g, e_r))
+        right = right * u0.values
+        v = right * quadrature_weights(n)
+        out = g.spacing * left * (np.convolve(gauss, v.real, "valid")
+                                  + 1j * np.convolve(gauss, v.imag, "valid"))
+    if not np.all(np.isfinite(out)):
+        raise ValueError(
+            f"the {variant} kernel overflows on this grid at a = {p.a:g}, "
+            f"t = {p.t:g}; its quadrature is not finite"
+        )
+    tail = _tail_fraction(left, gauss, np.abs(right))
+    if tail is not None:
         warnings.warn(
-            f"kernel quadrature tail is {edge / peak:.2e} of the integrand "
+            f"kernel quadrature tail is {tail:.2e} of the integrand "
             "peak; the grid truncates live mass",
             KernelTailWarning,
             stacklevel=2,
         )
-    return SampledFunction(g, g.spacing * (integrand @ w))
+    return SampledFunction(g, out)
+
+
+def _tail_fraction(left, gauss, mag):
+    # edge / peak of the integrand left_i gauss[n-1+i-j] mag_j when the
+    # edge columns j = 0, n-1 exceed TAIL_GUARD times the peak, else None
+    n = left.size
+    edge = max(np.max(left * gauss[n - 1:]) * mag[0],
+               np.max(left * gauss[:n]) * mag[-1])
+    # the diagonal i = j holds integrand entries, so its max is <= the peak
+    if edge <= TAIL_GUARD * np.max(left * gauss[n - 1] * mag):
+        return None
+    # column j reads gauss[n-1-j+i] over i: window n-1-j of gauss
+    windows = sliding_window_view(gauss, n)
+    col_peak = np.concatenate([
+        np.max(windows[m:m + _PEAK_BLOCK] * left, axis=1)
+        for m in range(0, n, _PEAK_BLOCK)])
+    peak = np.max(col_peak * mag[::-1])
+    if peak > 0.0 and edge > TAIL_GUARD * peak:
+        return edge / peak
+    return None
 
 
 def heat_ho_spectral_route(u0, p):

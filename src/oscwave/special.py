@@ -43,6 +43,12 @@ U_SERIES_CUTOFF = 1.0e-12
 # most z values integrated in one node table (U_QUAD_POINTS doubles each)
 _U_BLOCK = 1024
 
+# below U_Z_FLOOR the node range stops at v = log(60/U_Z_FLOOR) = 694.9,
+# where for c <= 1 the integrand has decayed only to e^{(c-1)v}; the tail
+# cut off there stays below e^{-30} (~1e-13 of U) only for c <= U_C_MAX
+U_Z_FLOOR = 1.0e-300
+U_C_MAX = 1.0 - 30.0 / np.log(60.0 / U_Z_FLOOR)
+
 
 def erfc_paper(z):
     """Gaussian tail integral_z^inf e^{-t^2} dt for z >= 0.
@@ -85,7 +91,7 @@ def _u_integral(a, c, z):
     v_min = -42.0 / a - np.maximum(0.0, np.log(z))
     # 60/z overflows below z ~ 3e-307; the floor caps v_max at 694.9
     # there, above the clamp below for every c < 0.93
-    v_max = np.log(60.0 / np.maximum(z, 1e-300))
+    v_max = np.log(60.0 / np.maximum(z, U_Z_FLOOR))
     if c < 1.0:
         # the algebraic factor alone already kills the integrand
         v_max = np.minimum(v_max, 48.0 / (1.0 - c))
@@ -111,6 +117,11 @@ def tricomi_u(a, c, z):
     z = np.asarray(z, dtype=float)
     if np.any(~np.isfinite(z)) or np.any(z <= 0):
         raise ValueError("tricomi_u needs z > 0")
+    if U_C_MAX < c <= 1.0 and np.any(z < U_Z_FLOOR):
+        raise ValueError(
+            f"tricomi_u is not supported for {U_C_MAX:.4f} < c <= 1 at "
+            f"z < {U_Z_FLOOR:g} (got c = {c:g}): the integral's node range "
+            "would cut off its slowly decaying tail")
     # below the cutoff the small-z form replaces the integral, which is
     # then not evaluated at all (its node range overflows near 1e-307)
     small = (z < U_SERIES_CUTOFF) & (c > 1.0)

@@ -98,6 +98,23 @@ def test_heat_ho_kernel_route(tmp_path):
     assert np.max(np.abs(out.values - np.exp(-0.35) * u0.values)) <= 1e-9
 
 
+def test_heat_ho_literal_kernel_overflow_is_named(tmp_path, capsys):
+    src = tmp_path / "in.csv"
+    dst = tmp_path / "out.csv"
+    _write_gaussian(src, lo=-12.0, hi=12.0, n=512)
+    with warnings.catch_warnings():
+        # a numpy RuntimeWarning would escape main as an exception
+        warnings.simplefilter("error")
+        rc = main([
+            "heat-ho", "--route", "kernel", "--variant", "paper_literal",
+            "--a", "1", "--t", "0.05", "--input", str(src), "--output", str(dst),
+        ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "paper_literal kernel overflows on this grid" in err
+    assert not dst.exists()
+
+
 def test_heat_ho_spectral_route(tmp_path):
     src = tmp_path / "in.csv"
     dst = tmp_path / "out.csv"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,9 @@ from oscwave import (
     rel_l2_error,
     wave_ho,
 )
+from oscwave import oscillator
+from oscwave.grids import quadrature_weights
+from oscwave.oscillator import TAIL_GUARD
 
 
 def test_variant_tables():
@@ -169,6 +174,135 @@ def test_kernel_route_warns_on_truncated_mass():
     u = SampledFunction(g, hermite_fn(0, 1.0, g.points).astype(complex))
     with pytest.warns(KernelTailWarning, match="truncates"):
         heat_ho_kernel_route(u, OscillatorParams(1.0, 0.5))
+
+
+def _dense_integrand(u0, p, variant="mehler"):
+    x = u0.grid.points
+    return heat_kernel(variant, p, x[:, None], x[None, :]) * u0.values[None, :]
+
+
+def _dense_route(u0, p, variant):
+    # the quadrature against the pointwise closed form, term by term
+    w = quadrature_weights(u0.grid.n)
+    return u0.grid.spacing * (_dense_integrand(u0, p, variant) @ w)
+
+
+def _dense_edge_and_peak(u0, p):
+    integrand = np.abs(_dense_integrand(u0, p))
+    return max(integrand[:, 0].max(), integrand[:, -1].max()), integrand.max()
+
+
+def _dense_tail_message(u0, p):
+    # the guard as the route applied it to the dense integrand
+    edge, peak = _dense_edge_and_peak(u0, p)
+    if peak > 0.0 and edge > TAIL_GUARD * peak:
+        return (f"kernel quadrature tail is {edge / peak:.2e} of the integrand "
+                "peak; the grid truncates live mass")
+    return None
+
+
+def _route_tail_message(u0, p):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        heat_ho_kernel_route(u0, p)
+    tails = [str(w.message) for w in caught
+             if issubclass(w.category, KernelTailWarning)]
+    assert len(tails) <= 1 and len(caught) == len(tails)
+    return tails[0] if tails else None
+
+
+@pytest.mark.parametrize("variant", HEAT_KERNEL_VARIANTS)
+@pytest.mark.parametrize("a", [0.5, 1.0])
+@pytest.mark.parametrize("at", [1e-3, 0.4, 5.0])
+def test_kernel_route_matches_the_dense_quadrature(variant, a, at):
+    g = make_grid(-12.0, 12.0, 512)
+    coef = np.random.default_rng(17).standard_normal((2, 6))
+    vals = sum((coef[0, k] + 1j * coef[1, k]) * hermite_fn(k, a, g.points)
+               for k in range(6))
+    u0 = SampledFunction(g, vals)
+    p = OscillatorParams(a, at / a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dense = _dense_route(u0, p, variant)
+    if not np.all(np.isfinite(dense)):
+        # the literal form overflows at small at, densely as well
+        assert variant == "paper_literal"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="paper_literal kernel overflows"):
+                heat_ho_kernel_route(u0, p, variant=variant)
+        return
+    with warnings.catch_warnings():
+        # the literal form grows toward the grid ends
+        warnings.simplefilter("ignore", KernelTailWarning)
+        out = heat_ho_kernel_route(u0, p, variant=variant)
+    assert rel_l2_error(out, SampledFunction(g, dense)) <= 1e-12
+
+
+@pytest.mark.parametrize("at", [1e-3, 1e-2])
+def test_kernel_route_keeps_its_digits_far_from_the_origin(at):
+    # the corrected form's completed square stays accurate at x ~ 20 and
+    # small at, where adding its x^2 and x x' coefficients in floating
+    # point would cost ~1e-11
+    g = make_grid(18.0, 22.0, 256)
+    u0 = SampledFunction(g, np.exp(-((g.points - 20.0) / 0.3) ** 2 + 0.5j * g.points))
+    p = OscillatorParams(1.0, at)
+    out = heat_ho_kernel_route(u0, p, variant="paper_corrected")
+    dense = _dense_route(u0, p, "paper_corrected")
+    assert rel_l2_error(out, SampledFunction(g, dense)) <= 1e-12
+
+
+def test_kernel_route_never_builds_the_dense_kernel(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("dense kernel evaluated")
+
+    monkeypatch.setattr(oscillator, "heat_kernel", refuse)
+    out = heat_ho_kernel_route(_mode(0), OscillatorParams(1.0, 0.35))
+    target = SampledFunction(GRID_K, np.exp(-0.35) * _mode(0).values)
+    assert rel_l2_error(out, target) <= 1e-12
+
+
+def _bump(g, sigma, center):
+    x = g.points
+    return SampledFunction(
+        g, np.exp(-0.5 * ((x - center) / sigma) ** 2 + 0.7j * x))
+
+
+@pytest.mark.parametrize("half_span", [3.0, 4.5, 6.0, 8.0, 10.0, 12.0])
+def test_tail_guard_decisions_match_the_dense_guard(half_span):
+    g = make_grid(-half_span, half_span, 256)
+    for t in (0.05, 0.2, 0.5, 1.0, 2.0):
+        p = OscillatorParams(1.0, t)
+        for sigma, center in ((0.6, 0.0), (1.0, 0.0), (1.0, 1.5), (1.6, -2.0)):
+            u0 = _bump(g, sigma, center)
+            assert _route_tail_message(u0, p) == _dense_tail_message(u0, p)
+
+
+def _ratio(u0, p):
+    edge, peak = _dense_edge_and_peak(u0, p)
+    return edge / peak
+
+
+@pytest.mark.parametrize("half_span, t, center",
+                         [(6.0, 0.05, 0.0), (8.0, 0.5, 1.0), (7.0, 2.0, -3.0)])
+def test_tail_guard_just_either_side_of_the_threshold(half_span, t, center):
+    # bisect the bump width until the dense edge/peak ratio sits at the guard
+    g = make_grid(-half_span, half_span, 256)
+    p = OscillatorParams(1.0, t)
+    lo, hi = 0.05, 4.0
+    assert _ratio(_bump(g, lo, center), p) < TAIL_GUARD < _ratio(_bump(g, hi, center), p)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if _ratio(_bump(g, mid, center), p) < TAIL_GUARD:
+            lo = mid
+        else:
+            hi = mid
+    below, above = _bump(g, lo * (1 - 1e-4), center), _bump(g, hi * (1 + 1e-4), center)
+    assert _ratio(below, p) < TAIL_GUARD * (1 - 1e-6)
+    assert _ratio(above, p) > TAIL_GUARD * (1 + 1e-6)
+    assert _route_tail_message(below, p) is None
+    assert _dense_tail_message(below, p) is None
+    message = _route_tail_message(above, p)
+    assert message is not None and message == _dense_tail_message(above, p)
 
 
 GRID_S = make_grid(-12.0, 12.0, 2048)

@@ -129,6 +129,27 @@ def test_u_at_the_smallest_double_warns_nothing():
     assert u == pytest.approx(SQRT_PI, rel=1e-14)
 
 
+@pytest.mark.parametrize("z", [1e-310, 1e-320])
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+def test_u_near_c_one_below_the_node_floor_is_right_or_refused(a, z):
+    sp = pytest.importorskip("scipy.special")
+    # c = 0.95: the floored node range still reaches e^{-34.7} of the tail
+    assert tricomi_u(a, 0.95, z) == pytest.approx(sp.hyperu(a, 0.95, z), rel=1e-10)
+    # c = 1 decays only through e^{-z e^v}; c = 0.99 like e^{-0.01 v}
+    for c in (1.0, 0.99):
+        with pytest.raises(ValueError, match="not supported"):
+            tricomi_u(a, c, z)
+        with pytest.raises(ValueError, match="not supported"):
+            tricomi_u(a, c, np.array([1.0, z]))
+
+
+def test_u_values_next_to_the_refused_range_are_unchanged():
+    assert tricomi_u(0.5, 0.5, 5e-324) == 1.772453850905574
+    assert tricomi_u(0.5, 1.5, 1e-13) == 3162277.660168379
+    # just above the floor c = 1 is still integrated
+    assert np.isfinite(tricomi_u(1.0, 1.0, 1e-290))
+
+
 def test_u_domain_and_policy_validation():
     with pytest.raises(ValueError):
         tricomi_u(-1.0, 1.5, 1.0)
