@@ -6,6 +6,7 @@ failing check.
 """
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -129,6 +130,12 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    # built once per process, on first use; parse_args does not change it
+    return build_parser()
+
+
 def _run_heat_ho(args):
     u0 = read_function_csv(args.input)
     p = OscillatorParams(args.a, args.t)
@@ -214,7 +221,7 @@ _DISPATCH = {
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(_glue_signed_values(argv))
+    args = _parser().parse_args(_glue_signed_values(argv))
     try:
         return _DISPATCH[args.subcommand](args)
     except (ValueError, OSError) as err:

@@ -1,7 +1,9 @@
 """CSV exchange formats: sampled functions, kernel matrices, check reports.
 
 Floats are rendered with %.17g so a write/read cycle reproduces every
-double bit-for-bit, and a read/write cycle reproduces the decimal text.
+double bit-for-bit.  A read/write cycle reproduces the decimal text only of
+files this module wrote: a hand-written 0.1 comes back as
+0.10000000000000001.
 """
 
 import csv
@@ -13,17 +15,24 @@ from .grids import SampledFunction, make_grid
 # relative wobble allowed in the x column before it stops being a uniform grid
 UNIFORM_TOL = 1.0e-9
 
+# rows formatted by one %-operation: bounds the string a large kernel dump
+# builds at once
+_WRITE_BLOCK = 4096
+
 
 def _fmt(v):
     return "%.17g" % v
 
 
 def _write_columns(path, header, cols):
-    # the csv module's default dialect, written in one call: comma
-    # delimiter, CRLF line ends, no quoting (numbers never need it)
+    # the csv module's default dialect: comma delimiter, CRLF line ends, no
+    # quoting (numbers never need it); each block of rows is one %-format
+    row = ",".join(["%.17g"] * cols.shape[1]) + "\r\n"
     with open(path, "w", newline="") as fh:
-        np.savetxt(fh, cols, fmt="%.17g", delimiter=",", newline="\r\n",
-                   header=header, comments="")
+        fh.write(header + "\r\n")
+        for start in range(0, len(cols), _WRITE_BLOCK):
+            block = cols[start:start + _WRITE_BLOCK]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_function_csv(f, path):
@@ -32,41 +41,48 @@ def write_function_csv(f, path):
                    np.column_stack([f.grid.points, f.values.real, f.values.imag]))
 
 
+def _bad_row(path, lines, width):
+    """The message for the first data row that is short or non-numeric."""
+    need = "x, re and im" if width == 3 else "x and re"
+    # rows count data lines only, as in the non-uniform-x message
+    rows = (row for row in csv.reader(lines) if row)
+    for row_no, row in enumerate(rows, start=1):
+        if len(row) < width:
+            return (f"{path}: data row {row_no} has {len(row)} field(s); "
+                    f"need at least {need}")
+        try:
+            for field in row[:width]:
+                float(field)
+        except ValueError:
+            return (f"{path}: data row {row_no} has a non-numeric field: "
+                    f"{','.join(row)!r}")
+    return None
+
+
 def read_function_csv(path):
     """Load a sampled function; the x column must be uniformly spaced.
 
-    The im column may be absent, in which case the data is real.
+    The im column may be absent, in which case the data is real.  Every
+    data row needs a field for each column the header names.
     """
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r, None)
-        if header is None or [h.strip() for h in header[:2]] != ["x", "re"]:
-            raise ValueError(f"{path}: expected header starting with x,re")
-        has_im = len(header) >= 3 and header[2].strip() == "im"
-        xs, vals = [], []
-        for row in r:
-            if not row:
-                continue
-            # rows count data lines only, as in the non-uniform-x message
-            row_no = len(xs) + 1
-            if len(row) < 2:
-                raise ValueError(
-                    f"{path}: data row {row_no} has {len(row)} field(s); "
-                    "need at least x and re"
-                )
-            try:
-                x, re = float(row[0]), float(row[1])
-                im = float(row[2]) if has_im and len(row) > 2 else 0.0
-            except ValueError:
-                raise ValueError(
-                    f"{path}: data row {row_no} has a non-numeric field: "
-                    f"{','.join(row)!r}"
-                ) from None
-            xs.append(x)
-            vals.append(complex(re, im))
-    if len(xs) < 2:
+    with open(path) as fh:
+        head, _, body = fh.read().partition("\n")
+    header = next(csv.reader([head]), [])
+    if [h.strip() for h in header[:2]] != ["x", "re"]:
+        raise ValueError(f"{path}: expected header starting with x,re")
+    width = 3 if len(header) >= 3 and header[2].strip() == "im" else 2
+    lines = body.splitlines()
+    data = np.empty((0, width))
+    # loadtxt warns on a body without data; there is nothing to parse then
+    if any(lines):
+        try:
+            data = np.loadtxt(lines, delimiter=",", usecols=range(width),
+                              comments=None, quotechar='"', ndmin=2)
+        except ValueError as err:
+            raise ValueError(_bad_row(path, lines, width) or f"{path}: {err}") from None
+    if len(data) < 2:
         raise ValueError(f"{path}: need at least two samples")
-    x = np.asarray(xs)
+    x = data[:, 0]
     bad = np.nonzero(~np.isfinite(x))[0]
     if bad.size:
         raise ValueError(f"{path}: non-finite x at data row {bad[0] + 1}")
@@ -82,7 +98,12 @@ def read_function_csv(path):
             f"(spacing {gaps[bad[0]]:.17g}, expected {h:.17g})"
         )
     grid = make_grid(x[0], x[0] + h * len(x), len(x))
-    return SampledFunction(grid, np.asarray(vals, dtype=complex))
+    # filled part by part: re + 1j*im would warn on an infinite im
+    vals = np.zeros(len(x), dtype=complex)
+    vals.real = data[:, 1]
+    if width == 3:
+        vals.imag = data[:, 2]
+    return SampledFunction(grid, vals)
 
 
 def write_kernel_csv(x, xp, values, path):
@@ -90,6 +111,8 @@ def write_kernel_csv(x, xp, values, path):
     values = np.asarray(values)
     if values.shape != (len(x), len(xp)):
         raise ValueError("kernel shape does not match the coordinate axes")
+    if np.iscomplexobj(values):
+        raise ValueError(f"kernel matrix must be real, got {values.dtype} values")
     _write_columns(path, "x,xp,value", np.column_stack(
         [np.repeat(x, len(xp)), np.tile(xp, len(x)), values.ravel()]))
 

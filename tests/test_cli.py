@@ -270,6 +270,30 @@ def test_short_csv_rows_exit_one_without_traceback(tmp_path):
     assert "short.csv: data row 1" in done.stderr
 
 
+def test_cached_parser_keeps_no_state_between_calls(tmp_path):
+    # one process: a --route given to the first call must not become the
+    # second call's default
+    src = tmp_path / "in.csv"
+    _write_ground_state(src, n=256)
+    runs = [["heat-ho", "--route", "spectral"], ["heat-ho"]]
+    pkg_root = Path(oscwave.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(pkg_root))
+    outputs = []
+    for k, head in enumerate(runs):
+        tail = ["--a", "1.0", "--t", "0.3", "--input", str(src)]
+        here, fresh = tmp_path / f"here{k}.csv", tmp_path / f"fresh{k}.csv"
+        assert main(head + tail + ["--output", str(here)]) == 0
+        done = subprocess.run(
+            [sys.executable, "-m", "oscwave.cli", *head, *tail, "--output", str(fresh)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert here.read_bytes() == fresh.read_bytes()
+        outputs.append(here.read_bytes())
+    kernel = tmp_path / "kernel.csv"
+    assert main(["heat-ho", "--route", "kernel", *tail, "--output", str(kernel)]) == 0
+    assert outputs[1] == kernel.read_bytes() != outputs[0]
+
+
 NO_SCIPY_RUN = """
 import json
 import sys
