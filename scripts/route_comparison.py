@@ -17,7 +17,6 @@ import numpy as np
 from oscwave import (
     OscillatorParams,
     SpectralCoefficients,
-    derive_params,
     heat_ho_kernel_route,
     heat_ho_spectral_route,
     heat_via_intertwining,
@@ -43,7 +42,6 @@ def main():
     rng = np.random.default_rng(args.seed)
     u0 = reconstruct(
         SpectralCoefficients(args.a, rng.standard_normal(args.modes)), g)
-    ip = derive_params(args.a, g, u0, n_X=4096)
 
     rows = []
     print(f"a = {args.a}, {args.modes} random modes, grid [-12, 12) n=2048")
@@ -55,7 +53,7 @@ def main():
             warnings.simplefilter("ignore")
             uk = heat_ho_kernel_route(u0, p)
         us = heat_ho_spectral_route(u0, p)
-        ui = heat_via_intertwining(u0, p, ip=ip)
+        ui = heat_via_intertwining(u0, p)
         gaps = (rel_l2_error(uk, us), rel_l2_error(uk, ui), rel_l2_error(us, ui))
         rows.append((t,) + gaps)
         print(f"{t:6.3f}  {gaps[0]:20.3e}  {gaps[1]:22.3e}  {gaps[2]:24.3e}")

@@ -86,7 +86,8 @@ def build_parser():
         if routes is not None:
             s.add_argument("--route", choices=routes, default=routes[0])
         if variants is not None:
-            s.add_argument("--variant", choices=variants, default=variants[0])
+            s.add_argument("--variant", choices=variants,
+                           help=f"kernel route only (default {variants[0]})")
         return s
 
     s = propagation(
@@ -137,10 +138,13 @@ def _parser():
 
 
 def _run_heat_ho(args):
+    if args.variant is not None and args.route != "kernel":
+        raise ValueError(
+            f"--variant applies to the kernel route only, not --route {args.route}")
     u0 = read_function_csv(args.input)
     p = OscillatorParams(args.a, args.t)
     if args.route == "kernel":
-        out = heat_ho_kernel_route(u0, p, variant=args.variant)
+        out = heat_ho_kernel_route(u0, p, variant=args.variant or "mehler")
     elif args.route == "spectral":
         out = heat_ho_spectral_route(u0, p)
     elif args.route == "intertwine":

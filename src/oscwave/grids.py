@@ -27,6 +27,7 @@ MIN_POINTS = 8
 MIN_RESIDUAL_POINTS = 16
 
 OPERATOR_TAGS = ("heat_ho", "heat_dirac", "wave_dirac", "wave_ho")
+REFINEMENT_LEVELS = 3  # grids residual_convergence_order fits its slope over
 
 
 @dataclass(frozen=True)
@@ -232,8 +233,9 @@ def fd_residual(field, operator_tag, t, dt, a=1.0):
     return SampledFunction(g.interior(), res[1:-1])
 
 
-def residual_convergence_order(solution, operator_tag, t, a, base_grid, dt0, levels=3):
-    """Measured convergence order of fd_residual under joint h, dt halving.
+def residual_convergence_order(solution, operator_tag, t, a, base_grid, dt0):
+    """Measured convergence order of fd_residual under joint h, dt halving
+    over REFINEMENT_LEVELS levels.
 
     Parameters
     ----------
@@ -241,15 +243,12 @@ def residual_convergence_order(solution, operator_tag, t, a, base_grid, dt0, lev
         Smooth continuum solution of the tagged equation.
     base_grid : Grid1D for the coarsest level; n doubles per level.
     dt0 : coarsest time step; halves per level.
-    levels : number of refinement levels (>= 2).
 
     Returns the least-squares slope of log2(sup residual) against level,
     negated so second-order convergence reads as about 2.
     """
-    if levels < 2:
-        raise ValueError("need at least two refinement levels")
     sups = []
-    for k in range(levels):
+    for k in range(REFINEMENT_LEVELS):
         g = make_grid(base_grid.x_min, base_grid.x_max, base_grid.n * 2**k)
         dt = dt0 / 2**k
 
@@ -258,5 +257,5 @@ def residual_convergence_order(solution, operator_tag, t, a, base_grid, dt0, lev
 
         r = fd_residual(field, operator_tag, t, dt, a)
         sups.append(np.max(np.abs(r.values)))
-    slope = np.polyfit(np.arange(levels), np.log2(sups), 1)[0]
+    slope = np.polyfit(np.arange(REFINEMENT_LEVELS), np.log2(sups), 1)[0]
     return float(-slope)

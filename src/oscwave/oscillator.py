@@ -16,8 +16,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .fourier import SpectralFunction, forward_ft, inverse_ft, spectral_resample
 from .grids import SampledFunction, quadrature_weights
 from .intertwine import (BranchPair, apply_T, apply_T_inverse,
-                         _admissible_damped, _branch_transform, _damped,
-                         _spectral_tail, derive_params, SA_DECAY)
+                         _branch_transform, _damped, _spectral_tail,
+                         derive_params, SA_DECAY)
 from .dirac import wave_dirac
 
 HEAT_KERNEL_VARIANTS = ("mehler", "paper_literal", "paper_corrected")
@@ -85,8 +85,11 @@ def _mehler_terms(a, t):
 
 
 def _log_mehler(a, t, x, xp):
-    log_pref, coth, inv_sinh = _mehler_terms(a, t)
-    return log_pref - 0.5 * a * (x * x + xp * xp) * coth + a * x * xp * inv_sinh
+    # -(a/2) coth 2at (x^2 + x'^2) + a x x'/sinh 2at without its cancelling
+    # O(a x^2/at) terms, since coth 2at - 1/sinh 2at = tanh at; the array
+    # comes first so numpy reuses its temporaries on kernel matrices
+    log_pref, coth, _ = _mehler_terms(a, t)
+    return (x - xp) ** 2 * (-0.5 * a * coth) + log_pref - a * np.tanh(a * t) * x * xp
 
 
 def _corrected_terms(a, t):
@@ -279,7 +282,7 @@ def heat_ho_spectral_route(u0, p):
     )
 
 
-def heat_via_intertwining(u0, p, ip=None):
+def heat_via_intertwining(u0, p):
     """Propagate u0 by conjugating transport with the substitution operator.
 
     The transform variable satisfies |xi| = e^{-2aX}, so translating a
@@ -287,34 +290,28 @@ def heat_via_intertwining(u0, p, ip=None):
     xi e^{-2at}.  Those values are recomputed by fresh phase sums at the
     shifted nodes (a spectral phase shift would be wrong here: the branch
     carries the growing weight, and only the underlying spectrum is
-    band-limited).  ip supplies the transform grids; by default they are
-    sized from u0's own spectrum.
+    band-limited).  The transform grids are derived from u0's own
+    spectrum, which therefore needs no separate coverage check.
     """
     if not np.any(u0.values):
         # no window can be derived from zero data, and none is needed
         return SampledFunction(u0.grid, np.zeros(u0.grid.n, dtype=complex))
-    if ip is None:
-        ip = derive_params(p.a, u0.grid, u0)
-    if ip.a != p.a:
-        raise ValueError("coupling mismatch between parameter sets")
-    damped = _admissible_damped(u0, ip, "full")
-    shifted = _branch_transform(damped, ip, ip.xi_nodes * np.exp(-2.0 * p.a * p.t))
+    ip = derive_params(p.a, u0.grid, u0)
+    shifted = _branch_transform(_damped(u0, p.a), ip,
+                                ip.xi_nodes * np.exp(-2.0 * p.a * p.t))
     return apply_T_inverse(shifted, ip)
 
 
-def wave_ho(v0, p, ip=None):
+def wave_ho(v0, p):
     """Wave evolution sin(t sqrt(L))/sqrt(L) applied to v0.
 
     Conjugates the windowed Dirac wave propagator with the substitution
-    operator, branch by branch.  ip supplies the transform grids; by
-    default they are sized from v0's own spectrum.
+    operator, branch by branch, on transform grids derived from v0's own
+    spectrum.
     """
     if p.t == 0 or not np.any(v0.values):
         return SampledFunction(v0.grid, np.zeros(v0.grid.n, dtype=complex))
-    if ip is None:
-        ip = derive_params(p.a, v0.grid, v0)
-    if ip.a != p.a:
-        raise ValueError("coupling mismatch between parameter sets")
+    ip = derive_params(p.a, v0.grid, v0)
     b = apply_T(v0, ip)
     moved = BranchPair(wave_dirac(b.plus, p.t), wave_dirac(b.minus, p.t))
     return apply_T_inverse(moved, ip)

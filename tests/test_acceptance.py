@@ -146,3 +146,23 @@ def test_checks_run_without_warnings(name):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         CHECKS[name]()
+
+
+def test_c04_keeps_the_residual_grading(monkeypatch):
+    """c04 only renames each residual report: an informational verdict,
+    with a metric that would fail the residual's tolerance, stays
+    informational."""
+    from oscwave import verify
+    from oscwave.grids import make_report
+
+    def unresolved(phi, p):
+        return make_report("intertwine_residual", 0.5, 1.0e-5,
+                           informational=True, notes="unresolved")
+
+    monkeypatch.setattr(verify, "intertwine_residual", unresolved)
+    reports = CHECKS["intertwining_residual"]()
+    assert len(reports) == 8
+    for r in reports:
+        assert r.check_name.startswith("intertwining_residual_a")
+        assert (r.verdict, r.metric, r.tolerance, r.notes) == (
+            "informational", 0.5, 1.0e-5, "unresolved")

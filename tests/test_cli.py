@@ -115,6 +115,21 @@ def test_heat_ho_literal_kernel_overflow_is_named(tmp_path, capsys):
     assert not dst.exists()
 
 
+@pytest.mark.parametrize("route", ["spectral", "intertwine", "oracle"])
+def test_heat_ho_variant_outside_the_kernel_route_exits_one(tmp_path, capsys, route):
+    src = tmp_path / "in.csv"
+    dst = tmp_path / "out.csv"
+    _write_ground_state(src)
+    rc = main([
+        "heat-ho", "--route", route, "--variant", "mehler", "--a", "1.0",
+        "--t", "0.35", "--input", str(src), "--output", str(dst),
+    ])
+    assert rc == 1
+    assert f"--variant applies to the kernel route only, not --route {route}" \
+        in capsys.readouterr().err
+    assert not dst.exists()
+
+
 def test_heat_ho_spectral_route(tmp_path):
     src = tmp_path / "in.csv"
     dst = tmp_path / "out.csv"

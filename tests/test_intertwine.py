@@ -201,7 +201,7 @@ def _tuned_round_trip(a, data, damped):
     L = s[np.nonzero(dv >= 5e-16 * dv.max())[0].max()]
     g = make_grid(-L, L, 4096)
     f = SampledFunction(g, data(g.points).astype(complex))
-    p = derive_params(a, g, f, n_X=8192)
+    p = derive_params(a, g, f)
     back = apply_T_inverse(apply_T(f, p), p, mask_floor=5e-16)
     return rel_l2_error(back, f)
 
@@ -230,10 +230,7 @@ PROP_GRID = make_grid(-6.2, 6.2, 2048)
 _PX = PROP_GRID.points
 _PROP_BASIS = np.vstack([hermite_fn(k, 1.0, _PX) for k in range(3)])
 PROP_PARAMS = derive_params(
-    1.0,
-    PROP_GRID,
-    SampledFunction(PROP_GRID, _PROP_BASIS.sum(axis=0).astype(complex)),
-    n_X=4096,
+    1.0, PROP_GRID, SampledFunction(PROP_GRID, _PROP_BASIS.sum(axis=0).astype(complex))
 )
 
 
