@@ -57,14 +57,27 @@ def grushin_heat_kernel(p, n_a=1025, as_complex=False):
 
     Computes (1/2pi) int e^{i(y-y')a} H(|a|; t, x, x') da by Simpson on
     [-a_max, a_max], where H is the oscillator heat kernel in the
-    coupling and a_max comes from _auto_cutoff.  The integrand is even in
-    a up to conjugation, so the true value is real; as_complex=True
-    returns the unreduced complex result so the residual imaginary part
-    can be inspected.
+    coupling and a_max comes from _auto_cutoff.  Beyond |y - y'| =
+    pi (n_a - 1) / (4 a_max) the quadrature aliases, and a ValueError is
+    raised.  The integrand is even in a up to conjugation, so the true
+    value is real; as_complex=True returns the unreduced complex result so
+    the residual imaginary part can be inspected.
     """
     if n_a < MIN_NODES:
         raise ValueError(f"n_a must be at least {MIN_NODES}")
     a_max = _auto_cutoff(p)
+    # the sum over nodes 2 a_max / (n_a - 1) apart is periodic in y - y'
+    # with period pi (n_a - 1) / a_max, and Simpson's 4/3, 2/3 alternation
+    # adds a copy at half the period; within a quarter period both copies
+    # stay a quarter period away
+    dy = abs(p.y - p.yp)
+    dy_max = np.pi * (n_a - 1) / (4.0 * a_max)
+    if dy > dy_max:
+        raise ValueError(
+            f"|y - y'| = {dy:g} exceeds {dy_max:g} = pi (n_a - 1) / (4 a_max), "
+            f"a quarter of the quadrature's alias period at a_max = {a_max:g}, "
+            f"n_a = {n_a}"
+        )
     nodes = np.linspace(-a_max, a_max, n_a)
     mag = oscillator_kernel_in_coupling(np.abs(nodes), p.t, p.x, p.xp)
     peak = np.max(mag)

@@ -20,8 +20,9 @@ Numerical plan, chosen to survive the weight's super-exponential growth:
   and an N x m table in r (_phase_tables).  Each direction is then one
   dense matrix product over N 2 sqrt(n) exponentials instead of N n: the
   separable, exact counterpart of a nonuniform FFT, with no spreading
-  kernel and no tolerance floor.  Forward and inverse share the tables,
-  and one set serves both signs of xi through conjugation.
+  kernel and no tolerance floor.  The window (IntertwineParams) builds its
+  tables once, so forward and inverse share them, and one set serves both
+  signs of xi through conjugation.
 * The inverse de-weights pointwise (exact) and integrates the substitution
   form (1/sqrt(2pi)) integral 2a xi G(+-xi(X)) e^{+-i xi x} dX by the
   trapezoid rule in X.  The integrand decays at both ends (spectral tail on
@@ -34,6 +35,7 @@ Numerical plan, chosen to survive the weight's super-exponential growth:
 
 from dataclasses import dataclass
 
+import functools
 import math
 import warnings
 
@@ -72,24 +74,63 @@ X_NODES = 4096
 RESIDUAL_TOL = 1.0e-5
 
 # The inverse ends with a multiplication by e^{ax^2/2}, which amplifies any
-# noise in the phase sums by up to ~1e8 before the mask cuts in.  So the
-# arguments of the three phase tables (tens to hundreds of rad) are formed and
-# wrapped mod 2pi in long double before the double-precision exp: plain
-# double rounding of an argument costs ~1e-14 in the phase, and with
-# plain-double tables the odd-data round trip of the tests measures 1.27e-8
-# against its 1e-8 gate.  The tables hold about 2 N sqrt(n) entries, so
-# this costs little.  The sums are accumulated in double by BLAS: summing
-# the same tables' terms in long double measured no better on the three
-# tuned round trips of the tests (ground state, odd data, a = 0.5):
-# 4.1e-9, 6.4e-9, 4.6e-9 against 3.6e-9, 7.6e-9, 4.7e-9, all under 1e-8.
+# noise in the phase sums by up to ~1e8 before the mask cuts in.  The table
+# arguments run to thousands of rad, so rounding one to double costs ~1e-12
+# in its entry.  Measured with such plain-double arguments: every verify
+# verdict and the three tuned round trips of the tests still hold (4.2e-9,
+# 7.8e-9, 4.7e-9 against the gate 1e-8), but c11's informational
+# oscillator_wave_vs_oracle_t0.1 reads 7.3 instead of 0.41, and the
+# factorized sums miss a long-double direct sum by more than 1e-13.
+# So each table row's step angle (xi x0, xi h m, xi h) is formed in long
+# double and reduced once to a 64-bit fixed-point fraction of a turn
+# (_turns): 3N long-double values per table set, where the entries number
+# N (2 sqrt(n) + 1).  An entry's angle is then an exact uint64 product, row
+# step times column index, whose wrap-around mod 2^64 is exact reduction
+# mod 2pi.  Each entry is rounded once to radians (int64 turns times 2pi/2^64
+# in long double, then double) and takes a real cos and sin.  Measured on
+# 2 CPUs (numpy 2.4) against the earlier build, which formed, wrapped and
+# exponentiated every entry's angle in long double:
+#   build time at N = 4096, medians of 30 builds, 6 alternating runs:
+#     n = 512: 20-24 -> 12-14 ms; n = 2048: 35-43 -> 20-24 ms
+#   worst entry error against mpmath, 4000 sampled entries per table on
+#   grids [-12, 12), [-37.3, 41.9) and [20.5, 61.3):
+#     n = 512, 2048: <= 5.6e-16 -> <= 6.0e-16; n = 4099: 1.0-1.5e-15 ->
+#     0.8-1.0e-15 (the coarse table; 3.1e-16 is the floor of one rounding)
+#   tuned round trips of the tests (ground state, odd data, a = 0.5):
+#     4.66e-9, 7.78e-9, 4.96e-9 -> 4.66e-9, 7.40e-9, 4.99e-9
+# Rejected: rounding to radians twice in double (int64 -> double, times
+# 2pi/2^64) measured 4.7-9.6e-16 on the same entries; the same single
+# rounding done exactly in double (turns split in two 32-bit halves, 2pi
+# split in two) took 17.6 ms where long double takes 5.2 ms on 373k
+# entries; building the coarse table as products of two smaller trig
+# tables raised the odd-data round trip to 8.2e-9; the complex exp took
+# 16.3 ms where cos and sin take 8.0 ms on the 373k entries of one n = 2048
+# set.  The sums are accumulated in double by BLAS: summing the same
+# tables' terms in long double measured no better on the three tuned round
+# trips.
 _LD = np.longdouble
 _TWO_PI_LD = _LD("6.283185307179586476925286766559005768")
+# one full turn in 64-bit fixed point, and the radians of one unit
+_TURN = _LD(2.0**64)
+_RAD_PER_UNIT = _TWO_PI_LD / _TURN
 
 
-def _unit_phase(theta):
-    """e^{-i theta} for long-double theta, wrapped mod 2pi first."""
-    theta -= _TWO_PI_LD * np.rint(theta / _TWO_PI_LD)
-    return np.exp(-1j * theta.astype(float))
+def _turns(theta):
+    """Long-double angles theta as uint64 fractions of a turn, mod one turn."""
+    t = theta / _TWO_PI_LD
+    units = np.rint((t - np.floor(t)) * _TURN)
+    # the upper half turn as negative int64, so the cast stays in range
+    units = np.where(units >= _TURN / 2, units - _TURN, units)
+    return units.astype(np.int64).view(np.uint64)
+
+
+def _unit_phase(turns):
+    """e^{-i theta} for fixed-point turns theta, rounded once to radians."""
+    theta = (turns.view(np.int64).astype(_LD) * -_RAD_PER_UNIT).astype(float)
+    out = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
 
 
 def _phase_tables(xi, grid):
@@ -104,9 +145,11 @@ def _phase_tables(xi, grid):
     m = math.isqrt(n - 1) + 1
     h = _LD(grid.spacing)
     xi = xi.astype(_LD)
-    offset = _unit_phase(xi * _LD(grid.x_min))
-    coarse = _unit_phase(np.multiply.outer(xi, h * (m * np.arange(-(-n // m)))))
-    fine = _unit_phase(np.multiply.outer(xi, h * np.arange(m)))
+    offset = _unit_phase(_turns(xi * _LD(grid.x_min)))
+    coarse = _unit_phase(np.multiply.outer(
+        _turns(xi * (h * m)), np.arange(-(-n // m), dtype=np.uint64)))
+    fine = _unit_phase(np.multiply.outer(
+        _turns(xi * h), np.arange(m, dtype=np.uint64)))
     return offset, coarse, fine
 
 
@@ -141,6 +184,12 @@ class IntertwineParams:
         """|xi| at each X sample, decreasing along the grid."""
         return np.exp(-2.0 * self.a * self.X_grid.points)
 
+    @functools.cached_property
+    def phase_tables(self):
+        """_phase_tables at xi_nodes over x_grid, built on first use and
+        shared by every forward and inverse sum on this window."""
+        return _phase_tables(self.xi_nodes, self.x_grid)
+
 
 @dataclass
 class BranchPair:
@@ -170,10 +219,13 @@ def weight(xi, a):
     return float(out) if out.ndim == 0 else out
 
 
-def _phase_sums(values, x_grid, xi_targets):
+def _phase_sums(values, x_grid, xi_targets, tables=None):
     """(h/sqrt(2pi)) sum_j values_j e^{-i x_j xi} at xi = +xi_targets and
-    at xi = -xi_targets, returned in that order."""
-    offset, coarse, fine = _phase_tables(xi_targets, x_grid)
+    at xi = -xi_targets, returned in that order.  tables, when given, are
+    _phase_tables(xi_targets, x_grid)."""
+    if tables is None:
+        tables = _phase_tables(xi_targets, x_grid)
+    offset, coarse, fine = tables
     rows, m = coarse.shape[1], fine.shape[1]
     M = np.pad(values, (0, rows * m - x_grid.n)).reshape(rows, m)
     # the -xi sum is the conjugate of the +xi sum of conj(values), so one
@@ -185,9 +237,12 @@ def _phase_sums(values, x_grid, xi_targets):
     return g_plus * scale, g_minus * scale
 
 
-def _inverse_phase_sums(x_grid, xi, c_plus, c_minus):
-    """sum_k c_plus_k e^{+i xi_k x_j} + c_minus_k e^{-i xi_k x_j} per x_j."""
-    offset, coarse, fine = _phase_tables(xi, x_grid)
+def _inverse_phase_sums(x_grid, xi, c_plus, c_minus, tables=None):
+    """sum_k c_plus_k e^{+i xi_k x_j} + c_minus_k e^{-i xi_k x_j} per x_j.
+    tables, when given, are _phase_tables(xi, x_grid)."""
+    if tables is None:
+        tables = _phase_tables(xi, x_grid)
+    offset, coarse, fine = tables
     m = fine.shape[1]
     # the +i sum is the conjugate of the -i sum of conj(c_plus)
     scaled = np.hstack([(np.conj(c_plus) * offset)[:, None] * fine,
@@ -242,11 +297,15 @@ def apply_T(phi, p, coverage="full"):
 
 def _branch_transform(damped, p, xi=None):
     # the unguarded core of apply_T at the frequencies xi (default: the X
-    # nodes), shared with the residual check, which must still produce
-    # (informational) numbers on inadmissible data, and with the
-    # conjugated heat route, which reads the spectrum at contracted nodes
-    xi = p.xi_nodes if xi is None else xi
-    g_plus, g_minus = _phase_sums(damped, p.x_grid, xi)
+    # nodes, whose tables the window holds), shared with the residual check,
+    # which must still produce (informational) numbers on inadmissible data,
+    # and with the conjugated heat route, which reads the spectrum at
+    # contracted nodes
+    if xi is None:
+        xi, tables = p.xi_nodes, p.phase_tables
+    else:
+        tables = None
+    g_plus, g_minus = _phase_sums(damped, p.x_grid, xi, tables)
     floor = SPECTRAL_CAP * max(np.max(np.abs(g_plus)), np.max(np.abs(g_minus)), 0.0)
     g_plus = np.where(np.abs(g_plus) < floor, 0.0, g_plus)
     g_minus = np.where(np.abs(g_minus) < floor, 0.0, g_minus)
@@ -298,7 +357,8 @@ def apply_T_inverse(b, p, mask_floor=1.0e-15):
     x = p.x_grid.points
     # trapezoid end corrections vanish against the decayed integrand
     amp = 2.0 * a * dX / SQRT_2PI
-    damped = _inverse_phase_sums(p.x_grid, xi, xi * g_plus, xi * g_minus) * amp
+    damped = _inverse_phase_sums(p.x_grid, xi, xi * g_plus, xi * g_minus,
+                                 p.phase_tables) * amp
     dpeak = np.max(np.abs(damped))
     if dpeak > 0.0 and mask_floor > 0.0:
         damped = np.where(np.abs(damped) < mask_floor * dpeak, 0.0, damped)

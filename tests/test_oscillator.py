@@ -20,7 +20,7 @@ from oscwave import (
     rel_l2_error,
     wave_ho,
 )
-from oscwave import oscillator
+from oscwave import intertwine, oscillator
 from oscwave.grids import quadrature_weights
 from oscwave.oscillator import TAIL_GUARD
 
@@ -372,6 +372,27 @@ def test_zero_data_propagates_to_zero():
     p = OscillatorParams(1.0, 0.4)
     assert np.max(np.abs(heat_via_intertwining(z, p).values)) == 0.0
     assert np.max(np.abs(wave_ho(z, p).values)) == 0.0
+
+
+def test_a_transform_window_builds_its_phase_tables_once(monkeypatch):
+    """wave_ho's forward and inverse sums run at the window's own nodes and
+    share one table set; heat_via_intertwining's forward sum reads the
+    contracted nodes, which need a set of their own."""
+    builds = []
+    build = intertwine._phase_tables
+
+    def counted(xi, grid):
+        builds.append(len(xi))
+        return build(xi, grid)
+
+    monkeypatch.setattr(intertwine, "_phase_tables", counted)
+    g = make_grid(-8.0, 8.0, 256)
+    v0 = SampledFunction(g, np.exp(-g.points**2).astype(complex))
+    wave_ho(v0, OscillatorParams(1.0, 0.1))
+    assert len(builds) == 1
+    builds.clear()
+    heat_via_intertwining(v0, OscillatorParams(1.0, 0.1))
+    assert len(builds) == 2
 
 
 def test_wave_starts_at_zero():
