@@ -18,7 +18,6 @@ from .grids import (
     quadrature_weights,
     rel_l2_error,
     residual_convergence_order,
-    sample,
 )
 from .fourier import (
     EdgeDecayWarning,
@@ -45,7 +44,6 @@ from .dirac import (
     heat_dirac,
     spectral_wave_oracle_dirac,
     wave_dirac,
-    wave_kernel_dirac,
     wave_kernel_forms,
 )
 from .intertwine import (
@@ -126,7 +124,6 @@ __all__ = [
     "rel_l2_error",
     "residual_convergence_order",
     "run_suite",
-    "sample",
     "spectral_resample",
     "spectral_wave_oracle_dirac",
     "suite_failed",
@@ -134,7 +131,6 @@ __all__ = [
     "tricomi_u_deriv",
     "wave_dirac",
     "wave_energy",
-    "wave_kernel_dirac",
     "wave_kernel_forms",
     "wave_ho",
     "wave_oracle",

@@ -15,9 +15,6 @@ from .fourier import DECAY_TOL, SpectralFunction, forward_ft, inverse_ft
 from .grids import SampledFunction, quadrature_weights
 from .special import SQRT_PI, erfc_paper, tricomi_u
 
-# agreement demanded between the two closed forms of the wave kernel
-FORM_AGREEMENT_TOL = 1.0e-10
-
 # live spectral content below this fraction of the peak is treated as
 # zero before the wave multiplier can amplify it
 ORACLE_BAND_TOL = 1.0e-13
@@ -92,25 +89,6 @@ def wave_kernel_forms(t, X, Xp):
     w_tric = (t / np.sqrt(4.0 * np.pi * gap)) * np.exp(-z2) * tricomi_u(
         1.0, 1.5, z2)
     return w_erfc, w_tric
-
-
-def wave_kernel_dirac(t, X, Xp):
-    """Wave kernel of the derivative operator, broadcast over t, X and X'.
-
-    Returns the Erfc form after checking that the Tricomi form agrees
-    with it to 1e-10 everywhere; a larger gap raises ArithmeticError.
-    """
-    w_erfc, w_tric = wave_kernel_forms(t, X, Xp)
-    diff = np.abs(w_erfc - w_tric)
-    worst = np.argmax(diff)
-    if diff.flat[worst] > FORM_AGREEMENT_TOL:
-        t_at, X_at, Xp_at = (np.broadcast_to(v, diff.shape).flat[worst]
-                             for v in (t, X, Xp))
-        raise ArithmeticError(
-            f"kernel forms disagree by {diff.flat[worst]:.3e} at "
-            f"t={t_at:g}, |X-X'|={abs(X_at - Xp_at):g}"
-        )
-    return w_erfc
 
 
 def _lagrange_basis(s):

@@ -16,7 +16,6 @@ __all__ = [
     "VerificationReport",
     "make_grid",
     "make_report",
-    "sample",
     "quadrature",
     "fd_residual",
     "residual_convergence_order",
@@ -93,11 +92,6 @@ class SampledFunction:
     def norm_l2(self):
         """Grid L2 norm, sqrt(h * sum |f_j|^2)."""
         return float(np.sqrt(self.grid.spacing * np.sum(np.abs(self.values) ** 2)))
-
-
-def sample(grid, fn):
-    """Sample a callable on the grid points."""
-    return SampledFunction(grid, np.asarray(fn(grid.points), dtype=complex))
 
 
 def rel_l2_error(f, g):

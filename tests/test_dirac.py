@@ -17,7 +17,6 @@ from oscwave import (
     residual_convergence_order,
     spectral_wave_oracle_dirac,
     wave_dirac,
-    wave_kernel_dirac,
     wave_kernel_forms,
 )
 from oscwave import dirac
@@ -63,8 +62,12 @@ def test_heat_warns_when_data_wraps():
     assert any(issubclass(r.category, ShiftCoverageWarning) for r in rec)
 
 
+def _erfc_form(t, X, Xp):
+    return wave_kernel_forms(t, X, Xp)[0]
+
+
 def test_wave_kernel_approaches_one_for_small_times():
-    w = wave_kernel_dirac(1e-8, 1.0, 0.0)
+    w = _erfc_form(1e-8, 1.0, 0.0)
     assert abs(w - 1.0) <= 1e-7
 
 
@@ -72,7 +75,7 @@ def test_wave_kernel_matches_the_error_function():
     """The kernel reduces to erfc(t / (2 sqrt|X - X'|)) in the standard
     normalization; scipy supplies the independent values."""
     for t, X, Xp in [(1.0, 0.25, 0.0), (1.0, 1.0, 0.0), (0.5, 0.0, 2.0), (2.0, -0.1, 0.15), (0.3, 0.7, 0.0)]:
-        w = wave_kernel_dirac(t, X, Xp)
+        w = _erfc_form(t, X, Xp)
         assert abs(w - erfc_std(t / (2.0 * np.sqrt(abs(X - Xp))))) <= 1e-12
 
 
@@ -80,23 +83,13 @@ def test_wave_kernel_at_unit_argument():
     from scipy.integrate import quad
 
     q, _ = quad(lambda s: np.exp(-s * s), 1.0, np.inf)
-    assert abs(wave_kernel_dirac(2.0, 1.0, 0.0) - (2.0 / np.sqrt(np.pi)) * q) <= 1e-9
+    assert abs(_erfc_form(2.0, 1.0, 0.0) - (2.0 / np.sqrt(np.pi)) * q) <= 1e-9
 
 
 def test_wave_kernel_forms_agree():
     for t, gap in [(1.0, 1.0), (0.5, 2.0), (2.0, 0.25)]:
         we, wt = wave_kernel_forms(t, gap, 0.0)
         assert abs(we - wt) <= 1e-10
-
-
-def test_wave_kernel_raises_when_its_forms_disagree(monkeypatch):
-    exact = dirac.tricomi_u
-    monkeypatch.setattr(dirac, "tricomi_u",
-                        lambda a, c, z: exact(a, c, z) * (1.0 + 1e-6))
-    we, wt = wave_kernel_forms(1.0, 1.0, 0.0)
-    assert abs(we - wt) > dirac.FORM_AGREEMENT_TOL
-    with pytest.raises(ArithmeticError, match="forms disagree"):
-        wave_kernel_dirac(1.0, 1.0, 0.0)
 
 
 def test_wave_kernel_forms_broadcast_like_their_scalar_calls():
@@ -108,20 +101,10 @@ def test_wave_kernel_forms_broadcast_like_their_scalar_calls():
         for j in range(4):
             pair = wave_kernel_forms(t[i, 0], X[j], 2.5)
             assert (we[i, j], wt[i, j]) == pair
-    assert np.array_equal(wave_kernel_dirac(t, X, 2.5), we)
     with pytest.raises(ValueError, match="singular"):
         wave_kernel_forms(t, X, 4.0)
     with pytest.raises(ValueError, match="t > 0"):
-        wave_kernel_dirac(np.array([1.0, 0.0]), 1.0, 0.0)
-
-
-def test_wave_kernel_names_its_worst_pair(monkeypatch):
-    exact = dirac.tricomi_u
-    monkeypatch.setattr(dirac, "tricomi_u",
-                        lambda a, c, z: exact(a, c, z) * (1.0 + 1e-6))
-    # the forms differ most where the kernel is largest: the smallest t
-    with pytest.raises(ArithmeticError, match=r"at t=0\.2, \|X-X'\|=3"):
-        wave_kernel_dirac(np.array([0.5, 0.2, 1.0]), 3.0, 0.0)
+        wave_kernel_forms(np.array([1.0, 0.0]), 1.0, 0.0)
 
 
 @settings(max_examples=25)
@@ -130,22 +113,22 @@ def test_wave_kernel_names_its_worst_pair(monkeypatch):
     gap=st.floats(0.05, 4.0),
 )
 def test_wave_kernel_monotone_and_bounded(t, gap):
-    w = wave_kernel_dirac(t, gap, 0.0)
+    w = _erfc_form(t, gap, 0.0)
     assert 0.0 < w <= 1.0
-    assert wave_kernel_dirac(t * 1.5, gap, 0.0) < w
-    assert wave_kernel_dirac(t, gap * 1.5, 0.0) > w
+    assert _erfc_form(t * 1.5, gap, 0.0) < w
+    assert _erfc_form(t, gap * 1.5, 0.0) > w
 
 
 def test_wave_kernel_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        wave_kernel_dirac(0.0, 1.0, 0.0)
+        _erfc_form(0.0, 1.0, 0.0)
     with pytest.raises(ValueError):
-        wave_kernel_dirac(-1.0, 1.0, 0.0)
+        _erfc_form(-1.0, 1.0, 0.0)
     with pytest.raises(ValueError):
-        wave_kernel_dirac(1.0, 0.5, 0.5)
+        _erfc_form(1.0, 0.5, 0.5)
 
 
-@pytest.mark.parametrize("kernel", [wave_kernel_forms, wave_kernel_dirac])
+@pytest.mark.parametrize("kernel", [wave_kernel_forms])
 @pytest.mark.parametrize("args", [(np.nan, 1.0, 0.0), (1.0, np.inf, 0.0),
                                   (1.0, 0.5, -np.inf), (1.0, [0.5, np.nan], 0.0)])
 def test_wave_kernel_names_its_own_non_finite_arguments(kernel, args):

@@ -9,7 +9,6 @@ from oscwave import (
     forward_ft,
     inverse_ft,
     make_grid,
-    sample,
     spectral_resample,
 )
 from oscwave.fourier import SpectralFunction
@@ -20,13 +19,13 @@ X = GRID.points
 
 def test_gaussian_fixed_point():
     # e^{-x^2/2} is the fixed point of the symmetric normalization
-    F = forward_ft(sample(GRID, lambda x: np.exp(-(x**2) / 2)))
+    F = forward_ft(SampledFunction(GRID, np.exp(-(X**2) / 2)))
     xi = F.xi_grid.points
     assert np.max(np.abs(F.values - np.exp(-(xi**2) / 2))) <= 1e-10
 
 
 def test_zero_frequency_value():
-    F = forward_ft(sample(GRID, lambda x: np.exp(-(x**2))))
+    F = forward_ft(SampledFunction(GRID, np.exp(-(X**2))))
     i0 = np.argmin(np.abs(F.xi_grid.points))
     assert F.xi_grid.points[i0] == 0.0
     assert abs(F.values[i0] - 1.0 / np.sqrt(2.0)) <= 1e-12
@@ -34,14 +33,14 @@ def test_zero_frequency_value():
 
 @pytest.mark.parametrize("s", [0.25, 0.5, 1.0, 2.0])
 def test_gaussian_identity_family(s):
-    F = forward_ft(sample(GRID, lambda x: np.exp(-(x**2) / (4 * s))))
+    F = forward_ft(SampledFunction(GRID, np.exp(-(X**2) / (4 * s))))
     xi = F.xi_grid.points
     assert np.max(np.abs(F.values - np.sqrt(2 * s) * np.exp(-s * xi**2))) <= 1e-10
 
 
 @pytest.mark.parametrize("alpha", [2.0, 3.0, 0.5])
 def test_scaling_law(alpha):
-    F = forward_ft(sample(GRID, lambda x: np.exp(-((alpha * x) ** 2) / 2)))
+    F = forward_ft(SampledFunction(GRID, np.exp(-((alpha * X) ** 2) / 2)))
     xi = F.xi_grid.points
     target = (1.0 / alpha) * np.exp(-((xi / alpha) ** 2) / 2)
     assert np.max(np.abs(F.values - target)) <= 1e-8
@@ -49,7 +48,7 @@ def test_scaling_law(alpha):
 
 @pytest.mark.parametrize("s", [0.5, 0.25])
 def test_inverse_of_gaussian_spectrum(s):
-    ref = forward_ft(sample(GRID, lambda x: np.exp(-(x**2))))
+    ref = forward_ft(SampledFunction(GRID, np.exp(-(X**2))))
     xi = ref.xi_grid.points
     F = SpectralFunction(ref.xi_grid, np.exp(-s * xi**2), GRID)
     back = inverse_ft(F)
@@ -80,7 +79,7 @@ def test_parseval():
 
 
 def test_grid_reciprocity():
-    F = forward_ft(sample(GRID, lambda x: np.exp(-(x**2))))
+    F = forward_ft(SampledFunction(GRID, np.exp(-(X**2))))
     recip = 2 * np.pi / (GRID.n * GRID.spacing)
     assert F.xi_grid.spacing == pytest.approx(recip, rel=1e-14)
     with pytest.raises(ValueError):
@@ -90,14 +89,14 @@ def test_grid_reciprocity():
 
 
 def test_resample_identity():
-    ref = forward_ft(sample(GRID, lambda x: np.exp(-(x**2))))
+    ref = forward_ft(SampledFunction(GRID, np.exp(-(X**2))))
     F = SpectralFunction(ref.xi_grid, np.exp(-ref.xi_grid.points**2), GRID)
     R = spectral_resample(F, 1.0)
     assert np.max(np.abs(R.values - F.values)) <= 1e-10
 
 
 def test_resample_gaussian_closed_form():
-    ref = forward_ft(sample(GRID, lambda x: np.exp(-(x**2))))
+    ref = forward_ft(SampledFunction(GRID, np.exp(-(X**2))))
     xi = ref.xi_grid.points
     F = SpectralFunction(ref.xi_grid, np.exp(-(xi**2)), GRID)
     R = spectral_resample(F, 0.5)
@@ -134,7 +133,7 @@ def test_resample_matches_a_direct_sum(n, scale):
 
 
 def test_resample_scale_domain():
-    ref = forward_ft(sample(GRID, lambda x: np.exp(-(x**2))))
+    ref = forward_ft(SampledFunction(GRID, np.exp(-(X**2))))
     for bad in (0.0, -0.5, 1.5):
         with pytest.raises(ValueError):
             spectral_resample(ref, bad)
@@ -144,7 +143,7 @@ def test_edge_decay_warnings():
     with pytest.warns(EdgeDecayWarning):
         forward_ft(SampledFunction(GRID, np.ones(GRID.n)))
     # spectrum carrying mass near the band edge degrades interpolation
-    ref = forward_ft(sample(GRID, lambda x: np.exp(-(x**2))))
+    ref = forward_ft(SampledFunction(GRID, np.exp(-(X**2))))
     xi = ref.xi_grid.points
     edge_heavy = SpectralFunction(ref.xi_grid, np.exp(-((xi / 80.0) ** 2)), GRID)
     with pytest.warns(EdgeDecayWarning):
