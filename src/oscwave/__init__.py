@@ -67,7 +67,12 @@ from .oscillator import (
     heat_via_intertwining,
     wave_ho,
 )
-from .grushin import GrushinPoint, grushin_heat_kernel, oscillator_kernel_in_coupling
+from .grushin import (
+    GrushinPoint,
+    grushin_heat_kernel,
+    grushin_heat_matrix,
+    oscillator_kernel_in_coupling,
+)
 from .verify import CHECKS, run_suite, suite_failed
 from .csvio import (
     read_function_csv,
@@ -103,6 +108,7 @@ __all__ = [
     "fd_residual",
     "forward_ft",
     "grushin_heat_kernel",
+    "grushin_heat_matrix",
     "heat_dirac",
     "heat_ho_kernel_route",
     "heat_ho_spectral_route",

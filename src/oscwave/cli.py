@@ -9,8 +9,6 @@ import argparse
 import functools
 import sys
 
-import numpy as np
-
 from .csvio import (
     read_function_csv,
     write_function_csv,
@@ -19,7 +17,7 @@ from .csvio import (
 )
 from .dirac import heat_dirac, spectral_wave_oracle_dirac, wave_dirac
 from .grids import make_grid
-from .grushin import GrushinPoint, grushin_heat_kernel
+from .grushin import grushin_heat_matrix
 from .hermite import expand, heat_oracle, wave_oracle
 from .oscillator import (
     HEAT_KERNEL_VARIANTS,
@@ -188,13 +186,7 @@ def _run_kernel(args):
 
 def _run_grushin(args):
     x = args.grid.points
-    values = np.empty((x.size, x.size))
-    for i, xi in enumerate(x):
-        for j, xj in enumerate(x):
-            values[i, j] = grushin_heat_kernel(
-                GrushinPoint(xi, args.dy, xj, 0.0, args.t)
-            )
-    write_kernel_csv(x, x, values, args.output)
+    write_kernel_csv(x, x, grushin_heat_matrix(args.t, x, x, args.dy), args.output)
     return 0
 
 

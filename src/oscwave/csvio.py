@@ -113,8 +113,17 @@ def write_kernel_csv(x, xp, values, path):
         raise ValueError("kernel shape does not match the coordinate axes")
     if np.iscomplexobj(values):
         raise ValueError(f"kernel matrix must be real, got {values.dtype} values")
-    _write_columns(path, "x,xp,value", np.column_stack(
-        [np.repeat(x, len(xp)), np.tile(xp, len(x)), values.ravel()]))
+    # each coordinate is formatted once: a matrix row's template puts its
+    # x field before every "xp_j,%.17g" line, so a block's %-format renders
+    # only the values
+    xs = ["%.17g," % v for v in np.asarray(x, dtype=float).tolist()]
+    lines = [""] + ["%.17g,%%.17g\r\n" % v for v in np.asarray(xp, dtype=float).tolist()]
+    rows = max(1, _WRITE_BLOCK // len(lines))
+    with open(path, "w", newline="") as fh:
+        fh.write("x,xp,value\r\n")
+        for start in range(0, len(xs), rows):
+            template = "".join(f.join(lines) for f in xs[start:start + rows])
+            fh.write(template % tuple(values[start:start + rows].ravel().tolist()))
 
 
 def write_report_csv(reports, path):

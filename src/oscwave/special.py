@@ -33,10 +33,16 @@ _erfc_std = np.vectorize(math.erfc, otypes=[float])
 
 # tricomi_u evaluates the integral representation by the trapezoid rule on
 # U_QUAD_POINTS nodes; below U_SERIES_CUTOFF it substitutes the singular
-# small-z form (only relevant for c > 1).  The log-substituted integral
-# keeps ~4e-14 relative accuracy down to z = 1e-15 at least; the asymptotic
-# form (relative error O(z) for c = 3/2) is only a guard for arguments
-# below any physical scale
+# small-z form (only relevant for c > 1), whose relative error is O(z): a
+# guard for arguments below any physical scale.  Against mpmath's hyperu
+# the log-substituted integral is within 7e-14 relative for the three
+# downstream families wherever it is used, for (1/2, 1/2) down to
+# z = 1e-300.  Near c = 1 it loses digits at tiny z: the integrand stays
+# O(1) up to v ~ -ln z and then drops double-exponentially, while the node
+# range grows like -ln z, so the fixed node count steps over the drop ever
+# more coarsely (step 0.79 at z = 1e-290).  Relative errors for
+# (a, c) = (1, 1): 1.8e-15 at z = 1e-100, 6.1e-11 at 1e-200, 9.9e-9 at
+# 1e-290; for (0.99, 0.99) at 1e-290: 8.1e-11
 U_QUAD_POINTS = 900
 U_SERIES_CUTOFF = 1.0e-12
 
@@ -109,6 +115,12 @@ def tricomi_u(a, c, z):
     """Tricomi confluent hypergeometric U(a, c, z) for a > 0, z > 0.
 
     z may be a scalar (the result is a float) or an array of any shape.
+    Relative accuracy against mpmath: within 7e-14 for the families
+    (1, 3/2), (1/2, 1/2) and (2, 5/2) down to U_SERIES_CUTOFF (for c <= 1
+    down to z = 1e-300), and O(z) below it for c > 1.  Near c = 1 the
+    900-node trapezoid rule spans a range that grows like -ln z, so tiny
+    z loses digits: for (1, 1) 1.8e-15 at z = 1e-100, 6.1e-11 at 1e-200
+    and 9.9e-9 at 1e-290; for (0.99, 0.99) 8.1e-11 at 1e-290.
     """
     a = float(a)
     c = float(c)
