@@ -22,7 +22,10 @@ Numerical plan, chosen to survive the weight's super-exponential growth:
   separable, exact counterpart of a nonuniform FFT, with no spreading
   kernel and no tolerance floor.  The window (IntertwineParams) builds its
   tables once, so forward and inverse share them, and one set serves both
-  signs of xi through conjugation.
+  signs of xi through conjugation.  The conjugated heat flow reads the
+  spectrum at the contracted nodes e^{-2a(X + t)}; with the X step
+  aligned to t these are rows of the same set, so a heat call builds one
+  set too (_transport_rows).
 * The inverse de-weights pointwise (exact) and integrates the substitution
   form (1/sqrt(2pi)) integral 2a xi G(+-xi(X)) e^{+-i xi x} dX by the
   trapezoid rule in X.  The integrand decays at both ends (spectral tail on
@@ -295,16 +298,14 @@ def apply_T(phi, p, coverage="full"):
     return _branch_transform(damped, p)
 
 
-def _branch_transform(damped, p, xi=None):
-    # the unguarded core of apply_T at the frequencies xi (default: the X
-    # nodes, whose tables the window holds), shared with the residual check,
-    # which must still produce (informational) numbers on inadmissible data,
-    # and with the conjugated heat route, which reads the spectrum at
-    # contracted nodes
+def _branch_transform(damped, p, xi=None, tables=None):
+    # the unguarded core of apply_T at the frequencies xi with their phase
+    # tables (default: the X nodes, whose tables the window holds), shared
+    # with the residual check, which must still produce (informational)
+    # numbers on inadmissible data, and with the conjugated heat route,
+    # which reads the spectrum at contracted nodes (_transport_rows)
     if xi is None:
         xi, tables = p.xi_nodes, p.phase_tables
-    else:
-        tables = None
     g_plus, g_minus = _phase_sums(damped, p.x_grid, xi, tables)
     floor = SPECTRAL_CAP * max(np.max(np.abs(g_plus)), np.max(np.abs(g_minus)), 0.0)
     g_plus = np.where(np.abs(g_plus) < floor, 0.0, g_plus)
@@ -314,6 +315,45 @@ def _branch_transform(damped, p, xi=None):
         SampledFunction(p.X_grid, w * g_plus),
         SampledFunction(p.X_grid, w * g_minus),
     )
+
+
+def _transport_rows(p, t):
+    """A window for translating p's branches by t in X, with one phase-table
+    set for its own nodes and for the contracted ones.
+
+    Returns (window, xi, tables): window is p with its X step shrunk to
+    t/s, s = ceil(t/dX), and as many nodes as still reach X_max, so that
+    X_k + t = X_{k+s}.  One _phase_tables call builds the N + s rows
+    X_min + j dX: rows [0, N) become the window's own tables, and xi and
+    tables are rows [s, N + s), the contracted frequencies
+    e^{-2a(X_k + t)}.  Where that would build more than 2n rows (t under
+    about half a step, or s >= N: t reaches past the window), p is kept
+    and the one call covers its nodes and the contracted nodes
+    xi_k e^{-2at}, 2n rows; at t = 0 the two coincide and it covers the n
+    nodes alone.
+    """
+    X = p.X_grid
+    s = math.ceil(t / X.spacing)
+    # the window's span in steps t/s; inf where t/s is too small for it
+    span = (X.x_max - X.x_min) / (t / s) if s else 0.0
+    if 0 < s < span and span + s <= 2 * X.n:
+        n = math.ceil(span)
+        X = Grid1D(X.x_min, X.x_min + n * (t / s), n)
+        window = IntertwineParams(p.a, p.x_grid, X)
+        xi = np.exp(-2.0 * p.a * (X.x_min + X.spacing * np.arange(n + s)))
+        offset = s
+    elif s:
+        window, offset = p, X.n
+        xi = np.concatenate([p.xi_nodes, p.xi_nodes * np.exp(-2.0 * p.a * t)])
+    else:
+        window, xi, offset = p, p.xi_nodes, 0
+    n = window.X_grid.n
+    tables = _phase_tables(xi, p.x_grid)
+    # rows [0, n) are the window's xi_nodes bit for bit: prime its cached
+    # tables with them
+    window.__dict__["phase_tables"] = tuple(tab[:n] for tab in tables)
+    return window, xi[offset:offset + n], tuple(
+        tab[offset:offset + n] for tab in tables)
 
 
 def branch_spectra(b, p):

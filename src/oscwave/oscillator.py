@@ -17,7 +17,7 @@ from .fourier import SpectralFunction, forward_ft, inverse_ft, spectral_resample
 from .grids import SampledFunction, quadrature_weights
 from .intertwine import (BranchPair, apply_T, apply_T_inverse,
                          _branch_transform, _damped, _spectral_tail,
-                         derive_params, SA_DECAY)
+                         _transport_rows, derive_params, SA_DECAY)
 from .dirac import wave_dirac
 
 HEAT_KERNEL_VARIANTS = ("mehler", "paper_literal", "paper_corrected")
@@ -291,14 +291,16 @@ def heat_via_intertwining(u0, p):
     shifted nodes (a spectral phase shift would be wrong here: the branch
     carries the growing weight, and only the underlying spectrum is
     band-limited).  The transform grids are derived from u0's own
-    spectrum, which therefore needs no separate coverage check.
+    spectrum, which therefore needs no separate coverage check; the X step
+    is then shrunk to t/s, so the shifted nodes X_k + t are the window's
+    nodes X_{k+s} continued past its end, and the forward and inverse sums
+    share rows of one phase-table set.
     """
     if not np.any(u0.values):
         # no window can be derived from zero data, and none is needed
         return SampledFunction(u0.grid, np.zeros(u0.grid.n, dtype=complex))
-    ip = derive_params(p.a, u0.grid, u0)
-    shifted = _branch_transform(_damped(u0, p.a), ip,
-                                ip.xi_nodes * np.exp(-2.0 * p.a * p.t))
+    ip, xi, tables = _transport_rows(derive_params(p.a, u0.grid, u0), p.t)
+    shifted = _branch_transform(_damped(u0, p.a), ip, xi, tables)
     return apply_T_inverse(shifted, ip)
 
 

@@ -32,28 +32,36 @@ SQRT_PI = np.sqrt(np.pi)
 _erfc_std = np.vectorize(math.erfc, otypes=[float])
 
 # tricomi_u evaluates the integral representation by the trapezoid rule on
-# U_QUAD_POINTS nodes; below U_SERIES_CUTOFF it substitutes the singular
-# small-z form (only relevant for c > 1), whose relative error is O(z): a
-# guard for arguments below any physical scale.  Against mpmath's hyperu
-# the log-substituted integral is within 7e-14 relative for the three
+# U_QUAD_POINTS nodes, or on as many more as keep the node step at most
+# U_MAX_STEP; below U_SERIES_CUTOFF it substitutes the singular small-z
+# form (only relevant for c > 1), whose relative error is O(z): a guard
+# for arguments below any physical scale.  Against mpmath's hyperu the
+# log-substituted integral is within 7e-14 relative for the three
 # downstream families wherever it is used, for (1/2, 1/2) down to
-# z = 1e-300.  Near c = 1 it loses digits at tiny z: the integrand stays
-# O(1) up to v ~ -ln z and then drops double-exponentially, while the node
-# range grows like -ln z, so the fixed node count steps over the drop ever
-# more coarsely (step 0.79 at z = 1e-290).  Relative errors for
-# (a, c) = (1, 1): 1.8e-15 at z = 1e-100, 6.1e-11 at 1e-200, 9.9e-9 at
-# 1e-290; for (0.99, 0.99) at 1e-290: 8.1e-11
+# z = 1e-300; their node ranges stay under 270, so they always take
+# U_QUAD_POINTS nodes.  Near c = 1 the integrand stays O(1) up to
+# v ~ -ln z and then drops double-exponentially, while the node range
+# grows like -ln z (to 740 at z = 1e-290), and a fixed 900 nodes stepped
+# over the drop ever more coarsely (step 0.79 at 1e-290: relative error
+# 9.9e-9 for (a, c) = (1, 1), 8.1e-11 for (0.99, 0.99)).  With the step
+# capped at 0.3 both stay within 1.2e-14 from z = 1e-100 to 1e-300 (one z
+# per decade), and within 5e-14 above
 U_QUAD_POINTS = 900
+U_MAX_STEP = 0.3
 U_SERIES_CUTOFF = 1.0e-12
 
-# most z values integrated in one node table (U_QUAD_POINTS doubles each)
-_U_BLOCK = 1024
+# most entries of one node table (1024 z at U_QUAD_POINTS nodes)
+_U_BLOCK = 1024 * U_QUAD_POINTS
 
 # below U_Z_FLOOR the node range stops at v = log(60/U_Z_FLOOR) = 694.9,
 # where for c <= 1 the integrand has decayed only to e^{(c-1)v}; the tail
 # cut off there stays below e^{-30} (~1e-13 of U) only for c <= U_C_MAX
 U_Z_FLOOR = 1.0e-300
 U_C_MAX = 1.0 - 30.0 / np.log(60.0 / U_Z_FLOOR)
+
+# natural log of the largest double, less a margin for the rounding of
+# lgamma, exp and the power in U's leading term near that bound
+_LOG_MAX = math.log(np.finfo(float).max) - 1.0e-9
 
 
 def erfc_paper(z):
@@ -71,6 +79,20 @@ def erfc_paper(z):
     return float(out) if out.ndim == 0 else out
 
 
+def _check_double_range(a, c, z):
+    # for c > 1, U(a, c, z) ~ Gamma(c-1)/Gamma(a) z^{1-c} passes the largest
+    # double as z falls below e^{log_over}; for c <= 1 it stays bounded as
+    # z -> 0.  Compared in logs: that bound may be subnormal, with few bits
+    if c <= 1.0:
+        return
+    log_over = (math.lgamma(c - 1.0) - math.lgamma(a) - _LOG_MAX) / (c - 1.0)
+    with np.errstate(divide="ignore"):
+        if np.any(np.log(z) < log_over):
+            raise ValueError(
+                f"U({a:g}, {c:g}, z) leaves the double range below "
+                f"z = {math.exp(log_over):.4g}")
+
+
 def tricomi_u_small_z(a, c, z):
     """Small-z behavior of U(a, c, z) for c > 1.
 
@@ -80,7 +102,15 @@ def tricomi_u_small_z(a, c, z):
     """
     if c <= 1:
         raise ValueError("small-z singular form applies to c > 1 only")
-    lead = math.gamma(c - 1.0) / math.gamma(a) * z ** (1.0 - c)
+    _check_double_range(a, c, z)
+    ratio = math.gamma(c - 1.0) / math.gamma(a)
+    if ratio < 1.0:
+        # z^{1-c} alone would leave the double range before U does: apply
+        # the ratio between its two halves
+        half = z ** (0.5 * (1.0 - c))
+        lead = ratio * half * half
+    else:
+        lead = ratio * z ** (1.0 - c)
     b = a - c + 1.0
     # at the poles b = 0, -1, -2, ... 1/Gamma(b) and the constant vanish
     if c < 2.0 and not (b <= 0 and b == int(b)):
@@ -91,9 +121,10 @@ def tricomi_u_small_z(a, c, z):
 def _u_integral(a, c, z):
     # substitute t = e^v; integrand e^{-z e^v + a v} (1+e^v)^{c-a-1} decays
     # exponentially as v -> -inf and double-exponentially as v -> +inf,
-    # where the trapezoid rule converges geometrically.  Row k of the node
-    # table serves z[k]; contiguous rows sum in numpy's pairwise order, so
-    # a z gives the same bits alone or inside an array
+    # where the trapezoid rule converges geometrically.  Row k of a node
+    # table serves z[k]; rows with equal node counts share a table, and
+    # contiguous rows sum in numpy's pairwise order, so a z gives the same
+    # bits alone or inside an array
     v_min = -42.0 / a - np.maximum(0.0, np.log(z))
     # 60/z overflows below z ~ 3e-307; the floor caps v_max at 694.9
     # there, above the clamp below for every c < 0.93
@@ -102,13 +133,22 @@ def _u_integral(a, c, z):
         # the algebraic factor alone already kills the integrand
         v_max = np.minimum(v_max, 48.0 / (1.0 - c))
     v_max = np.maximum(v_max, v_min + 1.0)
-    v = np.ascontiguousarray(np.linspace(v_min, v_max, U_QUAD_POINTS, axis=-1))
-    ev = np.exp(v)
-    integrand = np.exp(-z[:, None] * ev + a * v + (c - a - 1.0) * np.log1p(ev))
-    dv = v[:, 1] - v[:, 0]
-    total = dv * (np.sum(integrand, axis=-1)
-                  - 0.5 * (integrand[:, 0] + integrand[:, -1]))
-    return total / math.gamma(a)
+    nodes = np.maximum(U_QUAD_POINTS,
+                       np.ceil((v_max - v_min) / U_MAX_STEP).astype(int) + 1)
+    out = np.empty(z.shape)
+    for m in np.unique(nodes):
+        rows = np.flatnonzero(nodes == m)
+        # blocks of at most _U_BLOCK table entries bound the memory
+        for block in np.array_split(rows, rows.size * m // _U_BLOCK + 1):
+            v = np.ascontiguousarray(
+                np.linspace(v_min[block], v_max[block], m, axis=-1))
+            ev = np.exp(v)
+            integrand = np.exp(-z[block, None] * ev + a * v
+                               + (c - a - 1.0) * np.log1p(ev))
+            dv = v[:, 1] - v[:, 0]
+            out[block] = dv * (np.sum(integrand, axis=-1)
+                               - 0.5 * (integrand[:, 0] + integrand[:, -1]))
+    return out / math.gamma(a)
 
 
 def tricomi_u(a, c, z):
@@ -117,10 +157,12 @@ def tricomi_u(a, c, z):
     z may be a scalar (the result is a float) or an array of any shape.
     Relative accuracy against mpmath: within 7e-14 for the families
     (1, 3/2), (1/2, 1/2) and (2, 5/2) down to U_SERIES_CUTOFF (for c <= 1
-    down to z = 1e-300), and O(z) below it for c > 1.  Near c = 1 the
-    900-node trapezoid rule spans a range that grows like -ln z, so tiny
-    z loses digits: for (1, 1) 1.8e-15 at z = 1e-100, 6.1e-11 at 1e-200
-    and 9.9e-9 at 1e-290; for (0.99, 0.99) 8.1e-11 at 1e-290.
+    down to z = 1e-300), and O(z) below it for c > 1.  The trapezoid rule
+    takes at least 900 nodes and steps at most 0.3 through a range that
+    grows like -ln z, so (1, 1) and (0.99, 0.99) stay within 5e-14 down
+    to z = 1e-300 as well.  For c > 1, U ~ Gamma(c-1)/Gamma(a) z^{1-c}
+    leaves the double range at small z; such z raise a ValueError that
+    names the bound (about 2.9e-206 for (2, 5/2)).
     """
     a = float(a)
     c = float(c)
@@ -134,17 +176,14 @@ def tricomi_u(a, c, z):
             f"tricomi_u is not supported for {U_C_MAX:.4f} < c <= 1 at "
             f"z < {U_Z_FLOOR:g} (got c = {c:g}): the integral's node range "
             "would cut off its slowly decaying tail")
+    _check_double_range(a, c, z)
     # below the cutoff the small-z form replaces the integral, which is
     # then not evaluated at all (its node range overflows near 1e-307)
     small = (z < U_SERIES_CUTOFF) & (c > 1.0)
     out = np.empty(z.shape)
     if np.any(small):
         out[small] = tricomi_u_small_z(a, c, z[small])
-    rest = z[~small]
-    # blocks of at most _U_BLOCK z bound the node table's memory
-    out[~small] = np.concatenate([
-        _u_integral(a, c, block)
-        for block in np.array_split(rest, rest.size // _U_BLOCK + 1)])
+    out[~small] = _u_integral(a, c, z[~small])
     return float(out) if out.ndim == 0 else out
 
 

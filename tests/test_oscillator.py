@@ -10,6 +10,7 @@ from oscwave import (
     KernelTailWarning,
     OscillatorParams,
     SampledFunction,
+    SpectralCoefficients,
     heat_kernel,
     heat_ho_kernel_route,
     heat_ho_spectral_route,
@@ -17,6 +18,7 @@ from oscwave import (
     hermite_fn,
     hermite_table,
     make_grid,
+    reconstruct,
     rel_l2_error,
     wave_ho,
 )
@@ -374,10 +376,8 @@ def test_zero_data_propagates_to_zero():
     assert np.max(np.abs(wave_ho(z, p).values)) == 0.0
 
 
-def test_a_transform_window_builds_its_phase_tables_once(monkeypatch):
-    """wave_ho's forward and inverse sums run at the window's own nodes and
-    share one table set; heat_via_intertwining's forward sum reads the
-    contracted nodes, which need a set of their own."""
+def _count_table_builds(monkeypatch):
+    """Rows of every _phase_tables build from here on, in call order."""
     builds = []
     build = intertwine._phase_tables
 
@@ -386,13 +386,94 @@ def test_a_transform_window_builds_its_phase_tables_once(monkeypatch):
         return build(xi, grid)
 
     monkeypatch.setattr(intertwine, "_phase_tables", counted)
+    return builds
+
+
+def test_a_transform_window_builds_its_phase_tables_once(monkeypatch):
+    """wave_ho's forward and inverse sums run at the window's own nodes and
+    share one table set.  heat_via_intertwining steps its window by t/s, so
+    the contracted nodes are rows s.. of the same set: one build of N + s
+    rows, and of the N window rows alone at t = 0."""
+    builds = _count_table_builds(monkeypatch)
     g = make_grid(-8.0, 8.0, 256)
     v0 = SampledFunction(g, np.exp(-g.points**2).astype(complex))
     wave_ho(v0, OscillatorParams(1.0, 0.1))
-    assert len(builds) == 1
+    assert builds == [intertwine.X_NODES]
+    X = intertwine.derive_params(1.0, g, v0).X_grid
+    s = int(np.ceil(0.1 / X.spacing))
+    n = int(np.ceil((X.x_max - X.x_min) / (0.1 / s)))
+    assert n >= intertwine.X_NODES and n + s < 2 * intertwine.X_NODES
     builds.clear()
     heat_via_intertwining(v0, OscillatorParams(1.0, 0.1))
-    assert len(builds) == 2
+    assert builds == [n + s]
+    builds.clear()
+    heat_via_intertwining(v0, OscillatorParams(1.0, 0.0))
+    assert builds == [intertwine.X_NODES]
+
+
+def _c05_data(n):
+    g = make_grid(-12.0, 12.0, n)
+    coeffs = SpectralCoefficients(1.0, np.random.default_rng(5).standard_normal(8))
+    return reconstruct(coeffs, g)
+
+
+@pytest.mark.parametrize("t", [1.0e-3, 40.0])
+def test_heat_times_that_cannot_be_aligned_share_one_build(t, monkeypatch):
+    """t = 1e-3 is under half an X step (aligning would need ~20000 rows),
+    and a t = 40 reaches past the window (s >= N): both keep the derived
+    window and build its nodes and the contracted ones in one call of
+    2 X_NODES rows, and still agree with the kernel route to c05's gate."""
+    builds = _count_table_builds(monkeypatch)
+    u0 = _c05_data(512)
+    p = OscillatorParams(1.0, t)
+    ui = heat_via_intertwining(u0, p)
+    assert builds == [2 * intertwine.X_NODES]
+    assert rel_l2_error(heat_ho_kernel_route(u0, p), ui) <= 1e-5
+
+
+def test_shared_rows_match_a_long_double_direct_sum():
+    """The forward sums at the contracted nodes (rows [s, N + s) of the one
+    table set) and the window's inverse sums (rows [0, N)) against every
+    term e^{-i xi x} formed in long double.  The contracted frequencies are
+    the window's own frequencies moved s rows along, bit for bit."""
+    rng = np.random.default_rng(128)
+    g = make_grid(-8.0, 8.0, 128)
+    v0 = SampledFunction(g, np.exp(-g.points**2).astype(complex))
+    t = 0.1
+    ip = intertwine.derive_params(1.0, g, v0)
+    window, xi, tables = intertwine._transport_rows(ip, t)
+    X = window.X_grid
+    s = int(np.ceil(t / ip.X_grid.spacing))
+    assert X.x_min == ip.X_grid.x_min and X.spacing <= ip.X_grid.spacing
+    assert s * X.spacing == pytest.approx(t, rel=1e-13)
+    assert np.array_equal(xi[:-s], window.xi_nodes[s:])
+    assert np.array_equal(xi, np.exp(-2.0 * (X.x_min + X.spacing * np.arange(s, X.n + s))))
+
+    ld = np.longdouble
+    x = ld(g.x_min) + ld(g.spacing) * np.arange(g.n)
+
+    def phases(nodes):
+        theta = np.multiply.outer(nodes.astype(ld), x)
+        return np.cos(theta) - 1j * np.sin(theta)
+
+    def assert_close(got, want):
+        want = want.astype(complex)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    values = rng.normal(size=g.n) + 1j * rng.normal(size=g.n)
+    scale = g.spacing / np.sqrt(2.0 * np.pi)
+    g_plus, g_minus = intertwine._phase_sums(values, g, xi, tables)
+    forward = phases(xi)
+    assert_close(g_plus, scale * (forward @ values))
+    assert_close(g_minus, scale * (forward.conj() @ values))
+
+    c = rng.normal(size=X.n) + 1j * rng.normal(size=X.n)
+    zero = np.zeros(X.n, dtype=complex)
+    inverse = phases(window.xi_nodes)
+    assert_close(intertwine._inverse_phase_sums(
+        g, window.xi_nodes, c, zero, window.phase_tables), c @ inverse.conj())
+    assert_close(intertwine._inverse_phase_sums(
+        g, window.xi_nodes, zero, c, window.phase_tables), c @ inverse)
 
 
 def test_wave_starts_at_zero():

@@ -78,15 +78,20 @@ def test_u_against_mpmath():
 @pytest.mark.parametrize("a, c, z_min", [
     (1.0, 1.5, 1e-300),
     (0.5, 0.5, 1e-300),
-    # U(2, 5/2, z) ~ z^{-3/2} leaves the double range below z ~ 1e-205
+    # U(2, 5/2, z) ~ z^{-3/2} leaves the double range below z ~ 2.9e-206
     (2.0, 2.5, 1e-200),
+    # near c = 1 the node range grows like -ln z; the node count follows it
+    (1.0, 1.0, 1e-290),
+    (0.99, 0.99, 1e-290),
 ])
 def test_u_accuracy_over_the_downstream_families(a, c, z_min):
     """One z per decade from z_min to 100, plus a few z in [1, 100].
 
     Measured relative error on these z: at most 6.7e-14 where the integral
-    is used, and below 1.0 z + 1e-15 where the small-z form replaces it
-    (its error is O(z)), so the bounds are 1e-13 and 2 z + 1e-15.
+    is used (4.7e-14 for (1, 1), 3.2e-14 for (0.99, 0.99), whose 900 fixed
+    nodes gave 9.9e-9 and 8.4e-11 near 1e-290), and below 1.0 z + 1e-15
+    where the small-z form replaces it (its error is O(z)), so the bounds
+    are 1e-13 and 2 z + 1e-15.
     """
     mp = pytest.importorskip("mpmath")
     zs = np.concatenate([10.0 ** np.arange(np.log10(z_min), 2.5),
@@ -172,6 +177,25 @@ def test_u_values_next_to_the_refused_range_are_unchanged():
     assert tricomi_u(0.5, 1.5, 1e-13) == 3162277.660168379
     # just above the floor c = 1 is still integrated
     assert np.isfinite(tricomi_u(1.0, 1.0, 1e-290))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_u_beyond_the_double_range_is_refused_by_name():
+    """U(2, 5/2, z) ~ 0.886 z^{-3/2} passes the largest double below
+    z = 2.897e-206: smaller z raise a ValueError that names that bound, in
+    place of numpy's overflow warning and an inf.  Just above it U is
+    still formed, although z^{-3/2} alone would overflow there."""
+    mp = pytest.importorskip("mpmath")
+    for call in (lambda: tricomi_u(2.0, 2.5, 1e-300),
+                 lambda: tricomi_u(2.0, 2.5, np.array([1.0, 2.8e-206])),
+                 lambda: tricomi_u_small_z(2.0, 2.5, 1e-300)):
+        with pytest.raises(ValueError, match="double range below z = 2.897e-206"):
+            call()
+    z = 3.0e-206
+    assert -1.5 * np.log(z) > np.log(np.finfo(float).max)
+    assert tricomi_u(2.0, 2.5, z) == pytest.approx(float(mp.hyperu(2.0, 2.5, z)), rel=1e-15)
+    # U(1, 3/2, z) stays in range down to the smallest double (7.9e161)
+    assert np.isfinite(tricomi_u(1.0, 1.5, 5e-324))
 
 
 def test_u_domain_and_policy_validation():
