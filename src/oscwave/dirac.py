@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 
 from .fourier import DECAY_TOL, SpectralFunction, forward_ft, inverse_ft
-from .grids import SampledFunction, quadrature_weights
+from .grids import SampledFunction
 from .special import SQRT_PI, erfc_paper, tricomi_u
 
 # live spectral content below this fraction of the peak is treated as
@@ -23,7 +23,7 @@ ORACLE_BAND_TOL = 1.0e-13
 # oracle output would be dominated by band-edge content
 ORACLE_GROWTH_CAP = 25.0
 
-# Simpson nodes in sigma for wave_dirac (odd, so the rule is Simpson's)
+# Simpson nodes in sigma for wave_dirac (odd: an even interval count)
 WAVE_QUAD_POINTS = 257
 
 # samples per local Lagrange fit when wave_dirac reads V0 between samples
@@ -133,7 +133,10 @@ def wave_dirac(V0, t):
             "the grid span; enlarge the grid or reduce t"
         )
     sigma = np.linspace(0.0, 1.0, WAVE_QUAD_POINTS)
-    w = (sigma[1] - sigma[0]) * quadrature_weights(WAVE_QUAD_POINTS)
+    # Simpson, not the trapezoid rule: the integrand does not vanish at 1
+    w = np.ones(WAVE_QUAD_POINTS)
+    w[1:-1:2], w[2:-1:2] = 4.0, 2.0
+    w = (sigma[1] - sigma[0]) * (w / 3.0)
     # sigma = 0 contributes nothing: the kernel factor decays like
     # exp(-t/(2 sigma^2)) and the Jacobian vanishes too
     s = sigma[1:]

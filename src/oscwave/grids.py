@@ -140,29 +140,19 @@ def make_report(check_name, metric, tolerance, informational=False, notes=""):
     return VerificationReport(check_name, metric, float(tolerance), verdict, notes)
 
 
-# Composite Simpson weights need an even interval count, i.e. an odd number
-# of samples; otherwise fall back to the trapezoid rule.  Both integrate over
-# the span the samples actually cover, [x_min, x_max - h].
 def quadrature_weights(n):
-    """The weights w_j of n samples with quadrature(f) = h * sum w_j f_j,
+    """Trapezoid weights [1/2, 1, ..., 1, 1/2]: quadrature(f) = h * sum w_j f_j,
     exposed for kernel-matrix contractions and other node sets."""
     w = np.ones(n)
-    if n % 2 == 1:
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        w /= 3.0
-    else:
-        w[0] = w[-1] = 0.5
+    w[0] = w[-1] = 0.5
     return w
 
 
 def quadrature(f):
-    """Integrate a SampledFunction over the span covered by its samples.
-
-    Composite Simpson when the sample count is odd (even interval count),
-    trapezoid otherwise.  Functions integrated here are expected to have
-    decayed at the grid ends, so the missing half-open tail cell is below
-    rounding in practice.
+    """Integrate a SampledFunction over [x_min, x_max - h], the span its
+    samples cover, by the trapezoid rule.  Functions integrated here are
+    expected to have decayed at the grid ends, where the rule converges
+    geometrically and the missing half-open tail cell is below rounding.
     """
     w = quadrature_weights(f.grid.n)
     return complex(f.grid.spacing * np.dot(w, f.values))

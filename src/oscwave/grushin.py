@@ -8,7 +8,7 @@ single quadrature of the oscillator heat kernel over that parameter.
 import numpy as np
 
 from .grids import quadrature_weights
-from .oscillator import MAX_AT, _log_mehler
+from .oscillator import MAX_AT, MIN_AT, _log_mehler
 
 # the dual-parameter integrand must clear this decay by the cutoff
 CUTOFF_DECAY = 1.0e-12
@@ -86,8 +86,8 @@ def grushin_heat_matrix(t, x, xp, dy, n_a=1025, as_complex=False):
     """Heat kernel on every pair of the 1-D arrays x (n) and xp (m), as n x m.
 
     Entry [i, j] is p_t at (x_i, y; xp_j, y') with y - y' = dy, computed as
-    (1/2pi) int e^{i dy a} H(|a|; t, x_i, xp_j) da by Simpson on
-    [-a_max, a_max], where H is the oscillator heat kernel in the
+    (1/2pi) int e^{i dy a} H(|a|; t, x_i, xp_j) da by the trapezoid rule
+    on [-a_max, a_max], where H is the oscillator heat kernel in the
     coupling.  Each pair gets its own a_max, the first of 8/t, 16/t, ...
     at which a 257-node probe of H has decayed by CUTOFF_DECAY; the pairs
     of one a_max share their nodes, so a group costs one broadcast
@@ -96,8 +96,9 @@ def grushin_heat_matrix(t, x, xp, dy, n_a=1025, as_complex=False):
     Rows sum in numpy's pairwise order, so an entry has the same bits
     whatever block or matrix holds it.
 
-    Beyond |dy| = pi (n_a - 1) / (4 a_max) the quadrature aliases; that,
-    a failed cutoff search and an undecayed integrand at the cutoff raise
+    The sum is periodic in dy with period pi (n_a - 1) / a_max; beyond half
+    of it the quadrature aliases.  That, a failed cutoff search, an
+    undecayed integrand at the cutoff and a sum past the double range raise
     a ValueError for the first such pair in row-major order.  The true
     kernel is real; as_complex=True returns the unreduced complex sums so
     the residual imaginary part can be inspected.
@@ -105,8 +106,9 @@ def grushin_heat_matrix(t, x, xp, dy, n_a=1025, as_complex=False):
     if n_a < MIN_NODES:
         raise ValueError(f"n_a must be at least {MIN_NODES}")
     t = float(t)
-    if not np.isfinite(t) or t <= 0:
-        raise ValueError("time t must be positive and finite")
+    if not np.isfinite(t) or t < MIN_AT:
+        raise ValueError("time t must be positive and finite; below "
+                         f"{MIN_AT:g} the kernel leaves the double range")
     x = np.asarray(x, dtype=float)
     xp = np.asarray(xp, dtype=float)
     dy = float(dy)
@@ -117,11 +119,7 @@ def grushin_heat_matrix(t, x, xp, dy, n_a=1025, as_complex=False):
     xs, xps = np.repeat(x, xp.size), np.tile(xp, x.size)
     a_max = _cutoffs(t, xs, xps)
     found = a_max > 0.0
-    # the sum over nodes 2 a_max / (n_a - 1) apart is periodic in y - y'
-    # with period pi (n_a - 1) / a_max, and Simpson's 4/3, 2/3 alternation
-    # adds a copy at half the period; within a quarter period both copies
-    # stay a quarter period away
-    dy_max = np.pi * (n_a - 1) / (4.0 * np.where(found, a_max, 1.0))
+    dy_max = np.pi * (n_a - 1) / (2.0 * np.where(found, a_max, 1.0))
     aliased = found & (abs(dy) > dy_max)
     peak = np.ones(xs.size)
     edge = np.zeros(xs.size)
@@ -136,10 +134,12 @@ def grushin_heat_matrix(t, x, xp, dy, n_a=1025, as_complex=False):
                 np.abs(nodes), t, xs[rows, None], xps[rows, None])
             peak[rows] = np.max(mag, axis=1)
             edge[rows] = np.maximum(mag[:, 0], mag[:, -1])
-            for part, weights in zip(sums, (shared.real, shared.imag)):
-                part[rows] = h * np.sum(mag * weights, axis=1) / (2.0 * np.pi)
+            with np.errstate(over="ignore"):
+                for part, weights in zip(sums, (shared.real, shared.imag)):
+                    part[rows] = h * np.sum(mag * weights, axis=1) / (2.0 * np.pi)
     undecayed = edge > CUTOFF_DECAY * peak
-    bad = np.flatnonzero(~found | aliased | undecayed)
+    unbounded = ~np.all(np.isfinite(sums), axis=0)
+    bad = np.flatnonzero(~found | aliased | undecayed | unbounded)
     if bad.size:
         k = bad[0]
         if not found[k]:
@@ -148,9 +148,12 @@ def grushin_heat_matrix(t, x, xp, dy, n_a=1025, as_complex=False):
         if aliased[k]:
             raise ValueError(
                 f"|y - y'| = {abs(dy):g} exceeds {dy_max[k]:g} = "
-                f"pi (n_a - 1) / (4 a_max), a quarter of the quadrature's "
+                f"pi (n_a - 1) / (2 a_max), half the quadrature's "
                 f"alias period at a_max = {a_max[k]:g}, n_a = {n_a}"
             )
+        if unbounded[k]:
+            raise ValueError(f"the kernel at t = {t:g} leaves the double range "
+                             f"at x = {xs[k]:g}, x' = {xps[k]:g}")
         raise ValueError(
             f"integrand at the cutoff a_max = {a_max[k]:g} is "
             f"{edge[k] / peak[k]:.2e} of its peak"

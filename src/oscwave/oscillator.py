@@ -26,6 +26,9 @@ HEAT_KERNEL_VARIANTS = ("mehler", "paper_literal", "paper_corrected")
 # every mode below the 300th has decayed to nothing
 MAX_AT = 300.0
 
+# smallest at for the closed-form kernels; below it coth 2at overflows
+MIN_AT = 1.0e-300
+
 # integrand tails larger than this fraction of the row peak mean the
 # quadrature domain is cutting into live kernel mass
 TAIL_GUARD = 1.0e-12
@@ -154,8 +157,8 @@ def heat_kernel(variant, p, x, xp):
     """Oscillator heat kernel value K(t, x, x') for one variant tag."""
     if variant not in HEAT_KERNEL_VARIANTS:
         raise ValueError(f"unknown heat kernel variant {variant!r}")
-    if p.t <= 0:
-        raise ValueError("closed-form kernels need t > 0")
+    if p.a * p.t < MIN_AT:
+        raise ValueError(f"closed-form kernels need a*t >= {MIN_AT:g}, got {p.a * p.t:g}")
     x = np.asarray(x, dtype=float)
     xp = np.asarray(xp, dtype=float)
     if variant == "mehler":
@@ -192,8 +195,9 @@ def heat_ho_kernel_route(u0, p, variant="mehler"):
     """
     if variant not in HEAT_KERNEL_VARIANTS:
         raise ValueError(f"unknown heat kernel variant {variant!r}")
-    if p.t <= 0:
-        raise ValueError("the kernel route needs t > 0; at t = 0 it is the identity")
+    if p.a * p.t < MIN_AT:
+        raise ValueError(f"the kernel route needs a*t >= {MIN_AT:g}, got {p.a * p.t:g}; "
+                         "at t = 0 it is the identity")
     g = u0.grid
     n = g.n
     x = g.points

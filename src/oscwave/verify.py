@@ -159,7 +159,7 @@ def check_semigroup_composition():
     worst = float(np.max(np.abs(lhs - rhs) / np.abs(rhs)))
     return [make_report(
         "semigroup_chapman_kolmogorov", worst, 1.0e-6,
-        notes="Simpson on [-8,8], 1025 nodes, 25 random point pairs")]
+        notes="trapezoid on [-8,8], 1025 nodes, 25 random point pairs")]
 
 
 def _criterion4_params(a, x_grid):

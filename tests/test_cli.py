@@ -207,21 +207,53 @@ def test_grushin_dump(tmp_path):
     assert np.all(np.isfinite(vals))
 
 
-def test_grushin_dump_refuses_aliased_offsets(tmp_path):
-    # at dy = 25.13 the quadrature returned -0.163 where the kernel is ~2e-18
-    dst = tmp_path / "g.csv"
+def _run_cli(*args):
     pkg_root = Path(oscwave.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(pkg_root))
-    done = subprocess.run(
-        [sys.executable, "-m", "oscwave.cli", "grushin-heat", "--t", "0.5",
-         "--grid", "-1,1,16", "--dy", "25.13", "--output", str(dst)],
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "oscwave.cli", *args],
         capture_output=True, text=True, env=env,
     )
+
+
+def test_grushin_dump_refuses_aliased_offsets(tmp_path):
+    dst = tmp_path / "g.csv"
+    done = _run_cli("grushin-heat", "--t", "0.5", "--grid", "-1,1,16",
+                    "--dy", "30", "--output", str(dst))
     assert done.returncode == 1
     assert "Traceback" not in done.stderr
-    assert ("|y - y'| = 25.13 exceeds 12.5664 = pi (n_a - 1) / (4 a_max), a "
-            "quarter of the quadrature's alias period at a_max = 64, n_a = 1025"
+    assert ("|y - y'| = 30 exceeds 25.1327 = pi (n_a - 1) / (2 a_max), half "
+            "the quadrature's alias period at a_max = 64, n_a = 1025"
             in done.stderr)
+    assert not dst.exists()
+
+
+def test_grushin_dump_at_an_offset_that_once_aliased(tmp_path):
+    # with a quarter-period guard and Simpson weights, dy = 25.13 returned
+    # -0.163 here, where the kernel is ~2e-18; measured 5.6e-16 of the peak
+    dst = tmp_path / "g.csv"
+    assert main(["grushin-heat", "--t", "0.5", "--grid", "-1,1,16", "--dy", "25.13",
+                 "--output", str(dst)]) == 0
+    assert main(["grushin-heat", "--t", "0.5", "--grid", "-1,1,16", "--dy", "0",
+                 "--output", str(tmp_path / "peak.csv")]) == 0
+    values = np.loadtxt(dst, delimiter=",", skiprows=1)[:, 2]
+    peak = np.max(np.loadtxt(tmp_path / "peak.csv", delimiter=",", skiprows=1)[:, 2])
+    assert values.size == 256
+    assert np.max(np.abs(values)) <= 1e-14 * peak
+
+
+@pytest.mark.parametrize("args, message", [
+    (["grushin-heat", "--t", "1e-300", "--grid", "-1,1,8", "--dy", "0"],
+     "the kernel at t = 1e-300 leaves the double range"),
+    (["kernel", "--a", "1", "--t", "1e-320", "--grid", "-1,1,8"],
+     "closed-form kernels need a*t >= 1e-300, got 9.99989e-321"),
+])
+def test_kernel_dumps_refuse_times_past_the_double_range(tmp_path, args, message):
+    dst = tmp_path / "k.csv"
+    done = _run_cli(*args, "--output", str(dst))
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr and "Warning" not in done.stderr
+    assert message in done.stderr
     assert not dst.exists()
 
 

@@ -72,6 +72,13 @@ def test_quadrature_weights_expose_the_same_rule():
     assert abs(g.spacing * (w @ f.values) - quadrature(f)) <= 1e-14
 
 
+@pytest.mark.parametrize("n", [8, 9, 1024, 1025])
+def test_quadrature_weights_are_the_trapezoid_rule_for_any_parity(n):
+    want = np.ones(n)
+    want[0] = want[-1] = 0.5
+    assert np.array_equal(quadrature_weights(n), want)
+
+
 @given(
     alpha=st.floats(-5, 5),
     beta=st.floats(-5, 5),

@@ -73,15 +73,16 @@ def test_kernel_rejects_bad_quadrature_requests():
         grushin_heat_kernel(POINT, n_a=65)
 
 
-def test_kernel_refuses_offsets_past_a_quarter_alias_period():
+def test_kernel_refuses_offsets_past_half_the_alias_period():
     """The dual sum is periodic in y - y' with period pi (n_a - 1) / a_max.
 
-    Just inside a quarter of it the value still matches 16 times the nodes
-    (measured 2.3e-15 of the dy = 0 value at the bound, worst over
-    x, x' in [-1, 1] and t = 0.1, 0.5, 2); just outside it is refused.
+    Just inside half of it the value still matches 16 times the nodes
+    (measured 1.53e-15 of the dy = 0 value at 0.999 of the bound, worst
+    over a 5 x 5 grid of x, x' in [-1, 1] and t = 0.1, 0.5, 2); just
+    outside it is refused.
     """
     t, x, xp = 0.5, 0.3, -0.2
-    bound = np.pi * 1024 / (4.0 * 64.0)   # n_a = 1025; a_max = 64 here
+    bound = np.pi * 1024 / (2.0 * 64.0)   # n_a = 1025; a_max = 64 here
     peak = grushin_heat_kernel(GrushinPoint(x, 0.0, xp, 0.0, t))
     inside = GrushinPoint(x, 0.999 * bound, xp, 0.0, t)
     fine = grushin_heat_kernel(inside, n_a=16385)
@@ -131,7 +132,7 @@ def test_pairs_split_between_two_cutoffs_on_a_16_point_grid():
 
 def _loop_reference(t, x, xp, dy, n_a=1025):
     # one pair at a time, as the dump was computed before it became array
-    # code: a cutoff probe per pair, then one complex Simpson sum
+    # code: a cutoff probe per pair, then one complex trapezoid sum
     a_max = 8.0 / t
     while True:
         probe = oscillator_kernel_in_coupling(np.linspace(0.0, a_max, 257), t, x, xp)
@@ -142,8 +143,8 @@ def _loop_reference(t, x, xp, dy, n_a=1025):
     integrand = np.exp(1j * dy * nodes) * oscillator_kernel_in_coupling(
         np.abs(nodes), t, x, xp)
     weights = np.ones(n_a)
-    weights[1:-1:2], weights[2:-1:2] = 4.0, 2.0
-    return ((nodes[1] - nodes[0]) * np.dot(weights / 3.0, integrand) / (2.0 * np.pi)).real
+    weights[0] = weights[-1] = 0.5
+    return ((nodes[1] - nodes[0]) * np.dot(weights, integrand) / (2.0 * np.pi)).real
 
 
 def test_grushin_dump_matches_the_point_kernel(tmp_path):
@@ -158,7 +159,7 @@ def test_grushin_dump_matches_the_point_kernel(tmp_path):
     point = np.array([[grushin_heat_kernel(GrushinPoint(xi, 0.3, xj, 0.0, 0.5))
                        for xj in x] for xi in x])
     assert np.max(np.abs(dump - point)) <= 1e-14 * np.max(np.abs(point))
-    # the per-pair loop sums in another order: 3.9e-16 of the peak measured
+    # the per-pair loop sums in another order: 4.9e-16 of the peak measured
     loop = np.array([[_loop_reference(0.5, xi, xj, 0.3) for xj in x] for xi in x])
     assert np.max(np.abs(dump - loop)) <= 1e-14 * np.max(np.abs(loop))
 
@@ -173,14 +174,15 @@ def test_matrix_bits_do_not_depend_on_the_table_block(monkeypatch):
 
 
 def test_matrix_raises_for_the_first_offending_pair_in_row_major_order():
-    # at dy = 20 the a_max = 64 pairs alias and the a_max = 32 pairs do not;
-    # row 0 is all a_max = 32, so the first offender is pair (1, 6)
+    # at dy = 40 the a_max = 64 pairs alias (bound 25.13) and the a_max = 32
+    # pairs do not (bound 50.27); row 0 is all a_max = 32, so the first
+    # offender is pair (1, 6)
     x = _dump_grid()
     want = None
     for xi in x:
         for xj in x:
             try:
-                grushin_heat_kernel(GrushinPoint(xi, 20.0, xj, 0.0, 0.5))
+                grushin_heat_kernel(GrushinPoint(xi, 40.0, xj, 0.0, 0.5))
             except ValueError as err:
                 want = str(err)
                 break
@@ -188,8 +190,36 @@ def test_matrix_raises_for_the_first_offending_pair_in_row_major_order():
             break
     assert want is not None and "a_max = 64" in want
     with pytest.raises(ValueError) as err:
-        grushin_heat_matrix(0.5, x, x, 20.0)
+        grushin_heat_matrix(0.5, x, x, 40.0)
     assert str(err.value) == want
+
+
+def test_y_marginal_is_the_free_heat_kernel_in_x():
+    """int p_t(x, y; x', y') dy' = (4 pi t)^{-1/2} e^{-(x - x')^2 / 4t}: the
+    y' integral keeps the zero-coupling mode only.  The dy integral is the
+    trapezoid rule over |dy| <= 20, step 0.1, which needs offsets past a
+    quarter of the a_max = 64 alias period (12.57); measured 5.1e-13
+    relative at t = 0.5 on a 5 x 5 grid of x, x' in [-1, 1].
+    """
+    t = 0.5
+    x = np.linspace(-1.0, 1.0, 5)
+    dys = 0.1 * np.arange(-200, 201)
+    total = 0.1 * sum(grushin_heat_matrix(t, x, x, dy) for dy in dys)
+    total -= 0.05 * (grushin_heat_matrix(t, x, x, dys[0])
+                     + grushin_heat_matrix(t, x, x, dys[-1]))
+    free = np.exp(-((x[:, None] - x) ** 2) / (4.0 * t)) / np.sqrt(4.0 * np.pi * t)
+    assert np.max(np.abs(total - free) / free) <= 2e-12
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("t, message", [
+    (1e-300, "the kernel at t = 1e-300 leaves the double range at x = -1, x' = -1"),
+    (1e-320, "below 1e-300 the kernel leaves the double range"),
+])
+def test_matrix_refuses_times_where_the_kernel_leaves_the_double_range(t, message):
+    x = make_grid(-1.0, 1.0, 8).points
+    with pytest.raises(ValueError, match=message):
+        grushin_heat_matrix(t, x, x, 0.0)
 
 
 @pytest.mark.parametrize("t, dy, message", [

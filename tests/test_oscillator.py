@@ -24,7 +24,7 @@ from oscwave import (
 )
 from oscwave import intertwine, oscillator
 from oscwave.grids import quadrature_weights
-from oscwave.oscillator import TAIL_GUARD
+from oscwave.oscillator import MIN_AT, TAIL_GUARD
 
 
 def test_variant_tables():
@@ -53,6 +53,25 @@ def test_kernel_rejects_bad_requests():
         heat_kernel("mehler", OscillatorParams(1.0, 0.0), 0.0, 0.0)
     with pytest.raises(ValueError):
         heat_kernel("gaussian", OscillatorParams(1.0, 0.3), 0.0, 0.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_closed_form_kernels_refuse_subnormal_at():
+    """Below a t = 2.8e-309, 1 - e^{-4at} is subnormal and coth 2at
+    overflows, so the Mehler diagonal read nan; a*t below MIN_AT is
+    refused, and a*t = MIN_AT still gives the free-line limit (measured
+    2.1e-14 relative on the diagonal: exp of a log near 345)."""
+    x = make_grid(-1.0, 1.0, 8).points
+    u = SampledFunction(make_grid(-1.0, 1.0, 8), np.ones(8))
+    for variant in HEAT_KERNEL_VARIANTS:
+        with pytest.raises(ValueError, match="a\\*t >= 1e-300"):
+            heat_kernel(variant, OscillatorParams(1.0, 1e-320), x[:, None], x)
+        with pytest.raises(ValueError, match="a\\*t >= 1e-300"):
+            heat_ho_kernel_route(u, OscillatorParams(1.0, 1e-320), variant)
+    t = MIN_AT
+    k = heat_kernel("mehler", OscillatorParams(1.0, t), x[:, None], x)
+    assert np.array_equal(k, np.diag(np.diag(k)))
+    assert np.allclose(np.diag(k), 1.0 / np.sqrt(4.0 * np.pi * t), rtol=1e-13, atol=0.0)
 
 
 def test_corrected_variant_equals_mehler():
