@@ -9,6 +9,8 @@ import argparse
 import functools
 import sys
 
+import numpy as np
+
 from .csvio import (
     read_function_csv,
     write_function_csv,
@@ -180,6 +182,10 @@ def _run_kernel(args):
     p = OscillatorParams(args.a, args.t)
     x = args.grid.points
     values = heat_kernel(args.variant, p, x[:, None], x[None, :])
+    if not np.all(np.isfinite(values)):
+        # the literal variant, evaluated as printed, overflows to inf
+        raise ValueError(f"the {args.variant} kernel overflows on this grid at "
+                         f"a = {p.a:g}, t = {p.t:g}; its values are not finite")
     write_kernel_csv(x, x, values, args.output)
     return 0
 

@@ -42,6 +42,9 @@ class SpectralCoefficients:
             raise ValueError("coefficients must be finite")
         self.a = float(a)
         self.coeffs = coeffs
+        # (n_max, a, grid, table) of the projection that produced these
+        # coefficients, set by expand; reused only while the key matches
+        self._table = None
 
     @property
     def n_max(self):
@@ -69,10 +72,18 @@ def hermite_table(n_max, a, x):
     out[0] = (a / np.pi) ** 0.25 * np.exp(-0.5 * y**2)
     if n_max >= 1:
         out[1] = np.sqrt(2.0) * y * out[0]
-    for n in range(1, n_max):
-        out[n + 1] = np.sqrt(2.0 / (n + 1)) * y * out[n] - np.sqrt(
-            n / (n + 1.0)
-        ) * out[n - 1]
+    # h_{n+1} = sqrt(2/(n+1)) y h_n - sqrt(n/(n+1)) h_{n-1}, written into
+    # its row in place, in that order of operations
+    n = np.arange(1, n_max)
+    up = np.sqrt(2.0 / (n + 1))
+    down = np.sqrt(n / (n + 1.0))
+    tmp = np.empty_like(y)
+    for k in range(1, n_max):
+        row = out[k + 1]
+        np.multiply(y, up[k - 1], out=row)
+        row *= out[k]
+        np.multiply(out[k - 1], down[k - 1], out=tmp)
+        row -= tmp
     return out
 
 
@@ -92,24 +103,38 @@ def expand(f, a, n_max):
     """Project a sampled function onto modes 0..n_max by quadrature.
 
     Warns when the last coefficient is above 1e-6 of the largest one
-    (truncation not converged).
+    (truncation not converged).  The coefficients keep the table they
+    were projected with, so synthesizing on f's grid builds no second one.
     """
-    table = hermite_table(n_max, a, f.grid.points)
+    a = float(a)  # the coefficients' own a, so the kept table is theirs
+    return _project(f, a, hermite_table(n_max, a, f.grid.points))
+
+
+def _project(f, a, table):
+    # expand with the table of f's grid given
     w = f.grid.spacing * quadrature_weights(f.grid.n)
-    coeffs = table @ (w * f.values)
-    c = SpectralCoefficients(a, coeffs)
+    c = SpectralCoefficients(a, table @ (w * f.values))
+    c._table = (c.n_max, c.a, f.grid, table)
     if c.tail_fraction() > TAIL_WARN:
         warnings.warn(
-            f"expansion tail |c_{n_max}| is {c.tail_fraction():.2e} of the "
+            f"expansion tail |c_{c.n_max}| is {c.tail_fraction():.2e} of the "
             "peak coefficient; raise n_max or enlarge the grid",
-            stacklevel=2,
+            stacklevel=3,
         )
     return c
 
 
+def _table_for(c, grid):
+    # hermite_table(c.n_max, c.a, grid.points), or the table c was projected
+    # with when it was built for these modes, this coupling and this grid
+    kept = c._table
+    if kept is not None and kept[:3] == (c.n_max, c.a, grid):
+        return kept[3]
+    return hermite_table(c.n_max, c.a, grid.points)
+
+
 def _synthesize(c, grid, multipliers):
-    table = hermite_table(c.n_max, c.a, grid.points)
-    vals = (multipliers * c.coeffs) @ table
+    vals = (multipliers * c.coeffs) @ _table_for(c, grid)
     return SampledFunction(grid, vals)
 
 
@@ -152,7 +177,7 @@ def wave_energy(c, t, grid):
     """
     v = wave_oracle(c, t, grid)
     dv = wave_oracle_velocity(c, t, grid)
-    proj = expand(v, c.a, c.n_max)
+    proj = _project(v, c.a, _table_for(c, grid))
     kinetic = abs(quadrature(SampledFunction(grid, np.abs(dv.values) ** 2)))
     potential = float(np.sum(_rates(c) * np.abs(proj.coeffs) ** 2))
     return kinetic + potential

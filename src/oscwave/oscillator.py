@@ -29,6 +29,10 @@ MAX_AT = 300.0
 # smallest at for the closed-form kernels; below it coth 2at overflows
 MIN_AT = 1.0e-300
 
+# smallest t for the closed-form kernels: their Gaussian rate a coth 2at,
+# about 1/(2t) at small at, leaves the double range below t ~ 2.8e-309
+MIN_T = 1.0e-308
+
 # integrand tails larger than this fraction of the row peak mean the
 # quadrature domain is cutting into live kernel mass
 TAIL_GUARD = 1.0e-12
@@ -110,7 +114,9 @@ def _log_corrected(a, t, x, xp):
 
 
 def _literal_terms(a, t):
-    s = np.exp(2.0 * a * t) - np.exp(-2.0 * a * t)
+    # e^{2at} - e^{-2at} as printed, each exponential through expm1 so the
+    # difference keeps its digits at small at (exp rounds both to 1 there)
+    s = np.expm1(2.0 * a * t) - np.expm1(-2.0 * a * t)
     log_pref = np.log(a) + 0.5 * (np.log(2.0) - np.log(np.pi)) - 0.5 * np.log(s)
     return log_pref, s
 
@@ -159,14 +165,19 @@ def heat_kernel(variant, p, x, xp):
         raise ValueError(f"unknown heat kernel variant {variant!r}")
     if p.a * p.t < MIN_AT:
         raise ValueError(f"closed-form kernels need a*t >= {MIN_AT:g}, got {p.a * p.t:g}")
+    if p.t < MIN_T:
+        raise ValueError(f"closed-form kernels need t >= {MIN_T:g}, got {p.t:g}")
     x = np.asarray(x, dtype=float)
     xp = np.asarray(xp, dtype=float)
-    if variant == "mehler":
-        out = np.exp(_log_mehler(p.a, p.t, x, xp))
-    elif variant == "paper_corrected":
-        out = np.exp(_log_corrected(p.a, p.t, x, xp))
-    else:
-        out = _literal(p.a, p.t, x, xp)
+    # at tiny t a Gaussian exponent -(x - x')^2/4t past the double range
+    # reads -inf, and its entry underflows to 0 as it should
+    with np.errstate(over="ignore"):
+        if variant == "mehler":
+            out = np.exp(_log_mehler(p.a, p.t, x, xp))
+        elif variant == "paper_corrected":
+            out = np.exp(_log_corrected(p.a, p.t, x, xp))
+        else:
+            out = _literal(p.a, p.t, x, xp)
     return float(out) if out.ndim == 0 else out
 
 
@@ -198,17 +209,20 @@ def heat_ho_kernel_route(u0, p, variant="mehler"):
     if p.a * p.t < MIN_AT:
         raise ValueError(f"the kernel route needs a*t >= {MIN_AT:g}, got {p.a * p.t:g}; "
                          "at t = 0 it is the identity")
+    if p.t < MIN_T:
+        raise ValueError(f"the kernel route needs t >= {MIN_T:g}, got {p.t:g}")
     g = u0.grid
     n = g.n
     x = g.points
     d = g.spacing * np.arange(1 - n, n)
     c0, cl, cr, B = _exponent_coefficients(variant, p.a, p.t)
-    # log K(x_i, x_j) = e_l[i] + e_g[n - 1 + i - j] + e_r[j]
-    e_l = c0 + cl * x * x
-    e_g = -0.5 * B * d * d
-    e_r = cr * x * x
-    third = (e_l.max() + e_g.max() + e_r.max()) / 3.0
     with np.errstate(over="ignore", invalid="ignore"):
+        # log K(x_i, x_j) = e_l[i] + e_g[n - 1 + i - j] + e_r[j]; an exponent
+        # past the double range reads -inf (entry 0) or leaves out non-finite
+        e_l = c0 + cl * x * x
+        e_g = -0.5 * B * d * d
+        e_r = cr * x * x
+        third = (e_l.max() + e_g.max() + e_r.max()) / 3.0
         left, gauss, right = (np.exp(e - e.max() + third) for e in (e_l, e_g, e_r))
         right = right * u0.values
         v = right * quadrature_weights(n)
@@ -315,9 +329,23 @@ def wave_ho(v0, p):
     operator, branch by branch, on transform grids derived from v0's own
     spectrum.
     """
-    if p.t == 0 or not np.any(v0.values):
-        return SampledFunction(v0.grid, np.zeros(v0.grid.n, dtype=complex))
-    ip = derive_params(p.a, v0.grid, v0)
+    return _wave_ho_times(v0, p.a, (p.t,))[0]
+
+
+def _wave_ho_times(v0, a, times):
+    """wave_ho(v0, (a, t)) for each t in times, on one transform window.
+
+    The window, its phase tables and the forward transform depend on v0
+    alone, so they are built once; only wave_dirac and the inverse run
+    per time.  Each result equals its own wave_ho call bit for bit.
+    """
+    out = [SampledFunction(v0.grid, np.zeros(v0.grid.n, dtype=complex)) for _ in times]
+    live = [k for k, t in enumerate(times) if t != 0]
+    if not live or not np.any(v0.values):
+        return out
+    ip = derive_params(a, v0.grid, v0)
     b = apply_T(v0, ip)
-    moved = BranchPair(wave_dirac(b.plus, p.t), wave_dirac(b.minus, p.t))
-    return apply_T_inverse(moved, ip)
+    for k in live:
+        t = times[k]
+        out[k] = apply_T_inverse(BranchPair(wave_dirac(b.plus, t), wave_dirac(b.minus, t)), ip)
+    return out

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, settings
 
 # reproducible property runs: same examples every invocation
@@ -26,3 +27,21 @@ def closed_span_grid(lo, hi, n):
 
 def assert_small(value, bound, label=""):
     assert np.all(np.abs(value) <= bound), f"{label} |{np.max(np.abs(value)):.3e}| > {bound:.1e}"
+
+
+@pytest.fixture
+def hermite_builds(monkeypatch):
+    """(n_max, a, point count) of every hermite_table build from here on,
+    made through the hermite module or through verify's import of it."""
+    from oscwave import hermite, verify
+
+    builds = []
+    build = hermite.hermite_table
+
+    def counted(n_max, a, x):
+        builds.append((n_max, a, len(x)))
+        return build(n_max, a, x)
+
+    monkeypatch.setattr(hermite, "hermite_table", counted)
+    monkeypatch.setattr(verify, "hermite_table", counted, raising=False)
+    return builds

@@ -156,6 +156,17 @@ def test_wave_ho_oracle_route(tmp_path):
     assert np.max(np.abs(out.values - np.sin(0.7) * v0.values)) <= 1e-6
 
 
+@pytest.mark.parametrize("sub", ["heat-ho", "wave-ho"])
+def test_oracle_routes_build_one_hermite_table(tmp_path, hermite_builds, sub):
+    """The expansion's table serves the synthesis on the input grid."""
+    src = tmp_path / "in.csv"
+    _write_ground_state(src, n=512)
+    hermite_builds.clear()
+    assert main([sub, "--route", "oracle", "--a", "1.0", "--t", "0.7", "--input",
+                 str(src), "--output", str(tmp_path / "out.csv")]) == 0
+    assert hermite_builds == [(128, 1.0, 512)]
+
+
 def test_wave_ho_direct_route_matches_the_library(tmp_path):
     src = tmp_path / "in.csv"
     dst = tmp_path / "out.csv"
@@ -254,6 +265,37 @@ def test_kernel_dumps_refuse_times_past_the_double_range(tmp_path, args, message
     assert done.returncode == 1
     assert "Traceback" not in done.stderr and "Warning" not in done.stderr
     assert message in done.stderr
+    assert not dst.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["kernel", "--variant", "paper_literal", "--a", "1", "--t", "1e-17"],
+     "the paper_literal kernel overflows on this grid at a = 1, t = 1e-17; "
+     "its values are not finite"),
+    (["kernel", "--a", "1e12", "--t", "1e-310"],
+     "closed-form kernels need t >= 1e-308, got 1e-310"),
+], ids=["literal-at-1e-17", "mehler-t-1e-310"])
+def test_kernel_dumps_refuse_what_they_cannot_write_finitely(tmp_path, args, message):
+    """The literal form at a*t = 1e-17 overflows off the diagonal (its
+    diagonal is finite through expm1), and at t = 1e-310 the Gaussian rate
+    ~1/(2t) leaves the double range: both exit 1 with one message, no
+    RuntimeWarning (fatal here) and no file."""
+    dst = tmp_path / "k.csv"
+    done = _run_cli(*args, "--grid", "-1,1,8", "--output", str(dst))
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr and "Warning" not in done.stderr
+    assert done.stderr == f"oscwave: {message}\n"
+    assert not dst.exists()
+
+
+def test_kernel_route_refuses_t_where_the_gaussian_rate_overflows(tmp_path):
+    src = tmp_path / "in.csv"
+    dst = tmp_path / "out.csv"
+    _write_ground_state(src, n=64)
+    done = _run_cli("heat-ho", "--route", "kernel", "--a", "1e12", "--t", "1e-310",
+                    "--input", str(src), "--output", str(dst))
+    assert done.returncode == 1
+    assert done.stderr == "oscwave: the kernel route needs t >= 1e-308, got 1e-310\n"
     assert not dst.exists()
 
 

@@ -157,3 +157,71 @@ def test_wave_oracle_finite_propagation_speed():
         v = wave_oracle(c, t, g)
         outside = np.abs(x) > 1.0 + t + 0.2
         assert np.max(np.abs(v.values[outside])) <= 1e-6
+
+
+def _allocating_table(n_max, a, x):
+    # the recurrence with one temporary per row, as hermite_table first
+    # wrote it; the in-place table must reproduce it bit for bit
+    y = np.sqrt(a) * x
+    out = np.empty((n_max + 1, x.size))
+    out[0] = (a / np.pi) ** 0.25 * np.exp(-0.5 * y**2)
+    out[1] = np.sqrt(2.0) * y * out[0]
+    for n in range(1, n_max):
+        out[n + 1] = np.sqrt(2.0 / (n + 1)) * y * out[n] - np.sqrt(
+            n / (n + 1.0)
+        ) * out[n - 1]
+    return out
+
+
+@pytest.mark.parametrize("n_max, n", [(64, 2048), (128, 2048), (128, 512), (64, 256)])
+def test_in_place_table_equals_the_allocating_recurrence(n_max, n):
+    x = make_grid(-12.0, 12.0, n).points
+    for a in (0.5, 1.0, 3.0):
+        assert np.array_equal(hermite_table(n_max, a, x), _allocating_table(n_max, a, x))
+
+
+def _mix(g, a=1.0):
+    coeffs = np.random.default_rng(3).standard_normal(6)
+    return SampledFunction(g, hermite_table(5, a, g.points).T @ coeffs)
+
+
+def _oracles(c, grid):
+    t = 0.3
+    return [reconstruct(c, grid).values, heat_oracle(c, t, grid).values,
+            wave_oracle(c, t, grid).values, wave_oracle_velocity(c, t, grid).values,
+            wave_energy(c, t, grid)]
+
+
+def test_expanded_coefficients_synthesize_with_their_own_table(hermite_builds):
+    """reconstruct, the three oracles and wave_energy's re-projection on
+    the expansion grid build no table, and equal the results of fresh
+    tables (hand-built coefficients) bit for bit."""
+    g = make_grid(-12.0, 12.0, 512)
+    c = expand(_mix(g), 1.0, 40)
+    fresh = _oracles(SpectralCoefficients(c.a, c.coeffs), g)
+    hermite_builds.clear()
+    reused = _oracles(c, g)
+    assert hermite_builds == []
+    for got, want in zip(reused, fresh):
+        assert np.array_equal(got, want)
+
+
+def test_a_kept_table_serves_only_its_own_key(hermite_builds):
+    """Another grid, a reassigned coupling and hand-built coefficients
+    each build their own table, as they did before tables were kept."""
+    g = make_grid(-12.0, 12.0, 512)
+    c = expand(_mix(g), 1.0, 40)
+    builds = hermite_builds
+    builds.clear()
+    other = make_grid(-10.0, 10.0, 400)
+    got = reconstruct(c, other).values
+    assert builds == [(40, 1.0, 400)]
+    assert np.array_equal(got, reconstruct(SpectralCoefficients(1.0, c.coeffs), other).values)
+    builds.clear()
+    reconstruct(SpectralCoefficients(1.0, c.coeffs), g)
+    assert builds == [(40, 1.0, 512)]
+    builds.clear()
+    c.a = 2.0
+    got = wave_oracle(c, 0.3, g).values
+    assert builds == [(40, 2.0, 512)]
+    assert np.array_equal(got, wave_oracle(SpectralCoefficients(2.0, c.coeffs), 0.3, g).values)

@@ -24,7 +24,7 @@ from oscwave import (
 )
 from oscwave import intertwine, oscillator
 from oscwave.grids import quadrature_weights
-from oscwave.oscillator import MIN_AT, TAIL_GUARD
+from oscwave.oscillator import MIN_AT, MIN_T, TAIL_GUARD, _wave_ho_times
 
 
 def test_variant_tables():
@@ -72,6 +72,51 @@ def test_closed_form_kernels_refuse_subnormal_at():
     k = heat_kernel("mehler", OscillatorParams(1.0, t), x[:, None], x)
     assert np.array_equal(k, np.diag(np.diag(k)))
     assert np.allclose(np.diag(k), 1.0 / np.sqrt(4.0 * np.pi * t), rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_closed_form_kernels_refuse_t_where_their_gaussian_rate_overflows():
+    """With a*t >= MIN_AT but t below ~2.8e-309 the Gaussian rate
+    a coth 2at ~ 1/(2t) leaves the double range; such t are refused by
+    name, while t = 1e-305 at a = 1e12 still gives the free-line limit."""
+    g = make_grid(-1.0, 1.0, 8)
+    x = g.points
+    u = SampledFunction(g, np.ones(8))
+    p = OscillatorParams(1e12, 1e-310)
+    for variant in HEAT_KERNEL_VARIANTS:
+        with pytest.raises(ValueError, match="closed-form kernels need t >= 1e-308"):
+            heat_kernel(variant, p, x[:, None], x)
+        with pytest.raises(ValueError, match="kernel route needs t >= 1e-308"):
+            heat_ho_kernel_route(u, p, variant)
+    # down to the bound, and on grids where -(x - x')^2/4t leaves the double
+    # range (its entries underflow to 0), the kernel is the free-line limit
+    wide = make_grid(-50.0, 50.0, 16)
+    y = wide.points
+    for t in (1e-305, MIN_T):
+        for variant in ("mehler", "paper_corrected"):
+            k = heat_kernel(variant, OscillatorParams(1e12, t), y[:, None], y)
+            assert np.array_equal(k, np.diag(np.diag(k)))
+            assert np.allclose(np.diag(k), 1.0 / np.sqrt(4.0 * np.pi * t),
+                               rtol=1e-13, atol=0.0)
+            # the route's quadrature of this unresolved kernel is its diagonal
+            u = SampledFunction(wide, np.exp(-(y / 8.0) ** 2).astype(complex))
+            out = heat_ho_kernel_route(u, OscillatorParams(1e12, t), variant)
+            dense = wide.spacing * np.diag(k) * quadrature_weights(wide.n) * u.values
+            assert np.allclose(out.values, dense, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("t", [1e-17, 1e-16, 1e-12])
+def test_literal_kernel_keeps_its_digits_at_tiny_at(t):
+    """e^{2at} - e^{-2at} was exactly 0 below at ~ 2.8e-17 (nan on the
+    diagonal) and off by up to 11% just above; through expm1 the diagonal
+    reads a sqrt(2/pi) (2 sinh 2at)^{-1/2} e^{tanh(at) x^2}, which is
+    a sqrt(2/pi) / sqrt(4at) to rounding at these at."""
+    a = 1.0
+    x = np.array([-0.5, 0.0, 0.75])
+    k = heat_kernel("paper_literal", OscillatorParams(a, t), x, x)
+    want = a * np.sqrt(2.0 / np.pi) / np.sqrt(4.0 * a * t)
+    assert np.allclose(k, want, rtol=1e-12, atol=0.0)
 
 
 def test_corrected_variant_equals_mehler():
@@ -428,6 +473,45 @@ def test_a_transform_window_builds_its_phase_tables_once(monkeypatch):
     builds.clear()
     heat_via_intertwining(v0, OscillatorParams(1.0, 0.0))
     assert builds == [intertwine.X_NODES]
+
+
+def test_wave_times_share_one_window_and_forward_transform(monkeypatch):
+    """_wave_ho_times at c11's three times builds one phase-table set and
+    one forward transform, and each result equals its own wave_ho call bit
+    for bit."""
+    g = make_grid(-8.0, 8.0, 256)
+    v0 = SampledFunction(g, (np.exp(-g.points**2) * (1.0 + g.points)).astype(complex))
+    times = (1.0e-3, 0.1, 0.5)
+    separate = [wave_ho(v0, OscillatorParams(1.0, t)).values for t in times]
+    builds = _count_table_builds(monkeypatch)
+    forwards = []
+    apply_T = oscillator.apply_T
+
+    def counted(*args):
+        forwards.append(args)
+        return apply_T(*args)
+
+    monkeypatch.setattr(oscillator, "apply_T", counted)
+    shared = _wave_ho_times(v0, 1.0, times)
+    assert builds == [intertwine.X_NODES] and len(forwards) == 1
+    for got, want in zip(shared, separate):
+        assert np.array_equal(got.values, want)
+
+
+def test_wave_times_keep_the_single_call_shortcuts(monkeypatch):
+    """t = 0 entries and zero data give zeros, and no window is built
+    unless some t is nonzero."""
+    g = make_grid(-8.0, 8.0, 256)
+    v0 = SampledFunction(g, np.exp(-g.points**2).astype(complex))
+    builds = _count_table_builds(monkeypatch)
+    zero_t = _wave_ho_times(v0, 1.0, (0.0, 0.0))
+    zero_data = _wave_ho_times(SampledFunction(g, np.zeros(g.n)), 1.0, (0.1,))
+    assert builds == []
+    for out in zero_t + zero_data:
+        assert out.grid == g and not np.any(out.values)
+    mixed = _wave_ho_times(v0, 1.0, (0.0, 0.1))
+    assert not np.any(mixed[0].values)
+    assert np.array_equal(mixed[1].values, wave_ho(v0, OscillatorParams(1.0, 0.1)).values)
 
 
 def _c05_data(n):

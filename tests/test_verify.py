@@ -89,3 +89,12 @@ def test_wave_deficit_leading_terms():
     t = 1.0e-8
     lead = 2.0 * math.sqrt(2.0 / math.pi) * math.sqrt(t) - t
     assert abs(verify._wave_deficit(t) - lead) <= t ** 1.5
+
+
+def test_c11_builds_at_most_25_hermite_tables(hermite_builds):
+    """The oracle's coefficients keep their projection table, and the data
+    h_0 + h_1 comes from one two-row table, so one c11 call builds 20
+    tables where it built 57."""
+    reports = verify.check_oscillator_wave()
+    assert len(hermite_builds) <= 25
+    assert [r.verdict for r in reports if r.verdict != "informational"] == ["pass"] * 3
