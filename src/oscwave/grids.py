@@ -158,16 +158,13 @@ def quadrature(f):
     return complex(f.grid.spacing * np.dot(w, f.values))
 
 
-def _d1(values, h):
-    out = np.zeros_like(values)
-    out[1:-1] = (values[2:] - values[:-2]) / (2.0 * h)
-    return out
+def _centered_d(values, h):
+    """Centered first difference at the interior samples."""
+    return (values[2:] - values[:-2]) / (2.0 * h)
 
 
 def _d2(values, h):
-    out = np.zeros_like(values)
-    out[1:-1] = (values[2:] - 2.0 * values[1:-1] + values[:-2]) / h**2
-    return out
+    return (values[2:] - 2.0 * values[1:-1] + values[:-2]) / h**2
 
 
 def fd_residual(field, operator_tag, t, dt, a=1.0):
@@ -209,12 +206,11 @@ def fd_residual(field, operator_tag, t, dt, a=1.0):
         dt_term = (fp.values - 2.0 * f0.values + fm.values) / dt**2
 
     if operator_tag.endswith("dirac"):
-        space_term = _d1(f0.values, h)
+        space_term = _centered_d(f0.values, h)
     else:
-        space_term = _d2(f0.values, h) - (a * x) ** 2 * f0.values
+        space_term = _d2(f0.values, h) - (a * x[1:-1]) ** 2 * f0.values[1:-1]
 
-    res = dt_term - space_term
-    return SampledFunction(g.interior(), res[1:-1])
+    return SampledFunction(g.interior(), dt_term[1:-1] - space_term)
 
 
 def residual_convergence_order(solution, operator_tag, t, a, base_grid, dt0):

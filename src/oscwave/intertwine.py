@@ -45,7 +45,7 @@ import warnings
 import numpy as np
 
 from .fourier import SQRT_2PI, forward_ft, inverse_ft
-from .grids import Grid1D, SampledFunction, make_grid, make_report
+from .grids import Grid1D, SampledFunction, _centered_d, make_grid, make_report
 
 __all__ = [
     "IntertwineParams",
@@ -222,12 +222,10 @@ def weight(xi, a):
     return float(out) if out.ndim == 0 else out
 
 
-def _phase_sums(values, x_grid, xi_targets, tables=None):
+def _phase_sums(values, x_grid, xi_targets, tables):
     """(h/sqrt(2pi)) sum_j values_j e^{-i x_j xi} at xi = +xi_targets and
-    at xi = -xi_targets, returned in that order.  tables, when given, are
+    at xi = -xi_targets, returned in that order; tables are
     _phase_tables(xi_targets, x_grid)."""
-    if tables is None:
-        tables = _phase_tables(xi_targets, x_grid)
     offset, coarse, fine = tables
     rows, m = coarse.shape[1], fine.shape[1]
     M = np.pad(values, (0, rows * m - x_grid.n)).reshape(rows, m)
@@ -240,11 +238,9 @@ def _phase_sums(values, x_grid, xi_targets, tables=None):
     return g_plus * scale, g_minus * scale
 
 
-def _inverse_phase_sums(x_grid, xi, c_plus, c_minus, tables=None):
-    """sum_k c_plus_k e^{+i xi_k x_j} + c_minus_k e^{-i xi_k x_j} per x_j.
-    tables, when given, are _phase_tables(xi, x_grid)."""
-    if tables is None:
-        tables = _phase_tables(xi, x_grid)
+def _inverse_phase_sums(x_grid, xi, c_plus, c_minus, tables):
+    """sum_k c_plus_k e^{+i xi_k x_j} + c_minus_k e^{-i xi_k x_j} per x_j;
+    tables are _phase_tables(xi, x_grid)."""
     offset, coarse, fine = tables
     m = fine.shape[1]
     # the +i sum is the conjugate of the -i sum of conj(c_plus)
@@ -259,9 +255,14 @@ def _damped(phi, a):
     return phi.values * np.exp(-0.5 * a * x**2)
 
 
-def _spectral_tail(damped_values, x_grid, xi_cut):
-    """Largest |spectrum| beyond |xi| = xi_cut, as a fraction of the peak."""
-    F = forward_ft(SampledFunction(x_grid, damped_values))
+def _band_edge(x_grid):
+    """0.95 of x_grid's Nyquist frequency: a spectrum with mass beyond it
+    is not resolved by the grid."""
+    return 0.95 * np.pi / x_grid.spacing
+
+
+def _spectral_tail(F, xi_cut):
+    """Largest |F| beyond |xi| = xi_cut, as a fraction of its peak."""
     mag = np.abs(F.values)
     peak = np.max(mag)
     if peak == 0.0:
@@ -272,24 +273,16 @@ def _spectral_tail(damped_values, x_grid, xi_cut):
     return float(np.max(mag[outside]) / peak)
 
 
-def apply_T(phi, p, coverage="full"):
+def apply_T(phi, p):
     """Forward transform onto both sign branches.
 
-    coverage="full" (default) enforces the admissible-data precondition:
-    the damped spectrum must have decayed below 1e-10 of its peak by the
-    largest frequency the X_grid covers, so the branch pair determines phi.
-    coverage="window" only requires decay inside the x-grid band (no
-    aliasing) and evaluates T pointwise on a partial X window.
+    Enforces the admissible-data precondition: the damped spectrum must
+    have decayed below SA_DECAY of its peak by the largest frequency the
+    X_grid covers, so the branch pair determines phi.
     """
-    if coverage not in ("full", "window"):
-        raise ValueError("coverage must be 'full' or 'window'")
     damped = _damped(phi, p.a)
-    xi_cut = (
-        np.exp(-2.0 * p.a * p.X_grid.x_min)
-        if coverage == "full"
-        else 0.95 * np.pi / p.x_grid.spacing
-    )
-    tail = _spectral_tail(damped, p.x_grid, xi_cut)
+    xi_cut = np.exp(-2.0 * p.a * p.X_grid.x_min)
+    tail = _spectral_tail(forward_ft(SampledFunction(p.x_grid, damped)), xi_cut)
     if tail > SA_DECAY:
         raise ValueError(
             "input is outside the admissible class: damped spectrum carries "
@@ -302,8 +295,9 @@ def _branch_transform(damped, p, xi=None, tables=None):
     # the unguarded core of apply_T at the frequencies xi with their phase
     # tables (default: the X nodes, whose tables the window holds), shared
     # with the residual check, which must still produce (informational)
-    # numbers on inadmissible data, and with the conjugated heat route,
-    # which reads the spectrum at contracted nodes (_transport_rows)
+    # numbers on inadmissible data, and with the conjugated routes, whose
+    # windows derive_params sizes to cover their data (the heat route
+    # reads the spectrum at contracted nodes, _transport_rows)
     if xi is None:
         xi, tables = p.xi_nodes, p.phase_tables
     g_plus, g_minus = _phase_sums(damped, p.x_grid, xi, tables)
@@ -415,10 +409,6 @@ def oscillator_apply(phi, a):
     return SampledFunction(phi.grid, second - (a * x) ** 2 * phi.values)
 
 
-def _centered_d(values, h):
-    return (values[2:] - values[:-2]) / (2.0 * h)
-
-
 def intertwine_residual(phi, p):
     """Check the conjugation identity: T(oscillator phi) = d/dX (T phi).
 
@@ -430,7 +420,8 @@ def intertwine_residual(phi, p):
     """
     a = p.a
     damped = _damped(phi, a)
-    alias_tail = _spectral_tail(damped, p.x_grid, 0.95 * np.pi / p.x_grid.spacing)
+    alias_tail = _spectral_tail(forward_ft(SampledFunction(p.x_grid, damped)),
+                                _band_edge(p.x_grid))
     informational = alias_tail > SA_DECAY
     if informational:
         warnings.warn(
@@ -476,8 +467,7 @@ def derive_params(a, x_grid, phi):
     # never empty: the peak itself clears SA_DECAY * peak
     xi_tail = float(np.max(np.abs(F.xi_grid.points)[mag > SA_DECAY * peak]))
     xi_cover = 1.5 * xi_tail
-    nyq = 0.95 * np.pi / x_grid.spacing
-    if xi_cover > nyq:
+    if xi_cover > _band_edge(x_grid):
         raise ValueError(
             f"spectral support (to {xi_tail:.3g}) exceeds the x-grid band"
         )

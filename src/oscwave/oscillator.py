@@ -15,7 +15,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .fourier import SpectralFunction, forward_ft, inverse_ft, spectral_resample
 from .grids import SampledFunction, quadrature_weights
-from .intertwine import (BranchPair, apply_T, apply_T_inverse,
+from .intertwine import (BranchPair, apply_T_inverse, _band_edge,
                          _branch_transform, _damped, _spectral_tail,
                          _transport_rows, derive_params, SA_DECAY)
 from .dirac import wave_dirac
@@ -276,14 +276,13 @@ def heat_ho_spectral_route(u0, p):
     """
     a, t = p.a, p.t
     g = u0.grid
-    damped = SampledFunction(g, _damped(u0, a))
-    tail = _spectral_tail(damped.values, g, 0.95 * np.pi / g.spacing)
+    G = forward_ft(SampledFunction(g, _damped(u0, a)))
+    tail = _spectral_tail(G, _band_edge(g))
     if tail > SA_DECAY:
         raise ValueError(
             f"damped data is not band-limited on this grid "
             f"(tail mass {tail:.2e}); refine the grid or shrink the data"
         )
-    G = forward_ft(damped)
     shrunk = spectral_resample(G, np.exp(-2.0 * a * t))
     xi = shrunk.xi_grid.points
     mult = np.exp(-(1.0 - np.exp(-4.0 * a * t)) * xi * xi / (4.0 * a))
@@ -344,7 +343,7 @@ def _wave_ho_times(v0, a, times):
     if not live or not np.any(v0.values):
         return out
     ip = derive_params(a, v0.grid, v0)
-    b = apply_T(v0, ip)
+    b = _branch_transform(_damped(v0, a), ip)
     for k in live:
         t = times[k]
         out[k] = apply_T_inverse(BranchPair(wave_dirac(b.plus, t), wave_dirac(b.minus, t)), ip)

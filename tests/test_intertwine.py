@@ -21,7 +21,8 @@ from oscwave import (
     weight,
 )
 from oscwave.fourier import SpectralFunction
-from oscwave.intertwine import _centered_d, _inverse_phase_sums, _phase_sums, _phase_tables
+from oscwave.intertwine import (_branch_transform, _centered_d, _damped, _inverse_phase_sums,
+                                _phase_sums, _phase_tables)
 
 GRID = make_grid(-12.0, 12.0, 2048)
 X = GRID.points
@@ -53,7 +54,7 @@ def test_branch_pair_needs_shared_grid():
 def test_ground_state_branches_are_exponentials():
     """The Gaussian weight cancels exactly: both branches e^{-aX}/sqrt(2a)."""
     phi = SampledFunction(GRID, np.exp(-(X**2) / 2).astype(complex))
-    b = apply_T(phi, WINDOW, coverage="window")
+    b = _branch_transform(_damped(phi, 1.0), WINDOW)
     XX = WINDOW.X_grid.points
     target = np.exp(-XX) / np.sqrt(2.0)
     for side in (b.plus, b.minus):
@@ -61,14 +62,15 @@ def test_ground_state_branches_are_exponentials():
 
 
 def test_zero_maps_to_zero():
-    b = apply_T(SampledFunction(GRID, np.zeros(GRID.n, dtype=complex)), WINDOW, coverage="window")
+    zero = SampledFunction(GRID, np.zeros(GRID.n, dtype=complex))
+    b = _branch_transform(_damped(zero, 1.0), WINDOW)
     assert np.max(np.abs(b.plus.values)) == 0.0
     assert np.max(np.abs(b.minus.values)) == 0.0
 
 
 def test_real_even_input_gives_equal_branches():
     phi = SampledFunction(GRID, (np.exp(-0.6 * X**2) * (1 + 0.2 * X**2)).astype(complex))
-    b = apply_T(phi, WINDOW, coverage="window")
+    b = _branch_transform(_damped(phi, 1.0), WINDOW)
     assert np.max(np.abs(b.plus.values - b.minus.values)) <= 1e-10
 
 
@@ -84,7 +86,7 @@ def test_window_branches_of_complex_uneven_data_match_a_plain_sum():
     x = g.points
     vals = (1.0 + 0.5j) * np.exp(-((x - 0.7) ** 2)) + 0.3j * x * np.exp(-0.5 * x**2)
     p = IntertwineParams(a, g, make_grid(0.0, 1.2, 64))
-    b = apply_T(SampledFunction(g, vals), p, coverage="window")
+    b = _branch_transform(_damped(SampledFunction(g, vals), a), p)
     xi = np.exp(-2.0 * a * p.X_grid.points)
     damped = vals * np.exp(-0.5 * a * x**2)
     for side, sign in ((b.plus, 1.0), (b.minus, -1.0)):
@@ -116,14 +118,15 @@ def test_factorized_phase_sums_match_a_long_double_direct_sum(n_x):
 
     values = rng.normal(size=n_x) + 1j * rng.normal(size=n_x)
     scale = g.spacing / np.sqrt(2.0 * np.pi)
-    g_plus, g_minus = _phase_sums(values, g, xi)
+    tables = _phase_tables(xi, g)
+    g_plus, g_minus = _phase_sums(values, g, xi, tables)
     assert_close(g_plus, scale * (phases @ values))
     assert_close(g_minus, scale * (phases.conj() @ values))
 
     c = rng.normal(size=n_xi) + 1j * rng.normal(size=n_xi)
     zero = np.zeros(n_xi, dtype=complex)
-    assert_close(_inverse_phase_sums(g, xi, c, zero), c @ phases.conj())
-    assert_close(_inverse_phase_sums(g, xi, zero, c), c @ phases)
+    assert_close(_inverse_phase_sums(g, xi, c, zero, tables), c @ phases.conj())
+    assert_close(_inverse_phase_sums(g, xi, zero, c, tables), c @ phases)
 
 
 def test_phase_table_entries_match_mpmath():
@@ -153,7 +156,7 @@ def test_phase_table_entries_match_mpmath():
 
 def test_branch_spectra_deweights_to_the_damped_spectrum():
     phi = SampledFunction(GRID, np.exp(-(X**2) / 2).astype(complex))
-    b = apply_T(phi, WINDOW, coverage="window")
+    b = _branch_transform(_damped(phi, 1.0), WINDOW)
     plus, minus = branch_spectra(b, WINDOW)
     target = np.exp(-WINDOW.xi_nodes**2 / 4) / np.sqrt(2.0)
     assert np.max(np.abs(plus - target)) <= 1e-12
@@ -165,9 +168,7 @@ def test_transform_linearity():
     f2 = SampledFunction(GRID, hermite_fn(2, 1.0, X).astype(complex))
     al, be = 0.7 - 0.2j, -1.3 + 0.4j
     combo = SampledFunction(GRID, al * f1.values + be * f2.values)
-    b1 = apply_T(f1, WINDOW, coverage="window")
-    b2 = apply_T(f2, WINDOW, coverage="window")
-    bc = apply_T(combo, WINDOW, coverage="window")
+    b1, b2, bc = (_branch_transform(_damped(f, 1.0), WINDOW) for f in (f1, f2, combo))
     for got, want in (
         (bc.plus.values, al * b1.plus.values + be * b2.plus.values),
         (bc.minus.values, al * b1.minus.values + be * b2.minus.values),
@@ -181,7 +182,7 @@ def test_eigenfunction_transport():
     h = p.X_grid.spacing
     for n in range(5):
         f = SampledFunction(GRID, hermite_fn(n, 1.0, X).astype(complex))
-        b = apply_T(f, p, coverage="window")
+        b = _branch_transform(_damped(f, 1.0), p)
         der = _centered_d(b.plus.values, h)
         resid = der + (2 * n + 1) * b.plus.values[1:-1]
         assert np.linalg.norm(resid) / np.linalg.norm(der) <= 1e-4
@@ -319,9 +320,20 @@ def test_apply_T_rejects_uncovered_spectrum():
     wide = SampledFunction(GRID, np.exp(-20 * X**2).astype(complex))
     narrow_window = IntertwineParams(1.0, GRID, make_grid(0.0, 0.5, 256))
     with pytest.raises(ValueError, match="admissible"):
-        apply_T(wide, narrow_window, coverage="full")
-    with pytest.raises(ValueError):
-        apply_T(wide, narrow_window, coverage="sideways")
+        apply_T(wide, narrow_window)
+
+
+def test_apply_T_refuses_a_user_window_short_of_the_derived_one():
+    """The derived window covers the data's spectrum; a user window that
+    starts higher in X (a lower top frequency) cuts live spectrum and is
+    refused, while the derived one is accepted."""
+    f = SampledFunction(GRID, hermite_fn(3, 1.0, X).astype(complex))
+    p = derive_params(1.0, GRID, f)
+    apply_T(f, p)
+    X_grid = p.X_grid
+    short = IntertwineParams(1.0, GRID, make_grid(X_grid.x_min + 1.0, X_grid.x_max, 512))
+    with pytest.raises(ValueError, match="admissible"):
+        apply_T(f, short)
 
 
 def test_derive_params_rejects_aliased_data():

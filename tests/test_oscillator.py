@@ -409,6 +409,22 @@ def test_spectral_route_small_time_limit():
     assert np.max(np.abs(out.values - u0.values)) <= 1e-3
 
 
+def test_spectral_route_transforms_its_data_once(monkeypatch):
+    """The band-limit guard reads the spectrum the route goes on to use."""
+    calls = []
+    forward_ft = oscillator.forward_ft
+
+    def counted(f):
+        calls.append(f.grid)
+        return forward_ft(f)
+
+    monkeypatch.setattr(oscillator, "forward_ft", counted)
+    monkeypatch.setattr(intertwine, "forward_ft", counted)
+    u0 = SampledFunction(GRID_S, hermite_fn(0, 1.0, GRID_S.points).astype(complex))
+    heat_ho_spectral_route(u0, OscillatorParams(1.0, 0.35))
+    assert calls == [GRID_S]
+
+
 def test_spectral_route_rejects_unresolved_data():
     g = make_grid(-12.0, 12.0, 256)
     sharp = SampledFunction(g, np.exp(-20 * g.points**2).astype(complex))
@@ -485,17 +501,45 @@ def test_wave_times_share_one_window_and_forward_transform(monkeypatch):
     separate = [wave_ho(v0, OscillatorParams(1.0, t)).values for t in times]
     builds = _count_table_builds(monkeypatch)
     forwards = []
-    apply_T = oscillator.apply_T
+    branch_transform = oscillator._branch_transform
 
     def counted(*args):
         forwards.append(args)
-        return apply_T(*args)
+        return branch_transform(*args)
 
-    monkeypatch.setattr(oscillator, "apply_T", counted)
+    monkeypatch.setattr(oscillator, "_branch_transform", counted)
     shared = _wave_ho_times(v0, 1.0, times)
     assert builds == [intertwine.X_NODES] and len(forwards) == 1
     for got, want in zip(shared, separate):
         assert np.array_equal(got.values, want)
+
+
+def test_wave_branches_equal_the_guarded_transform_on_derived_windows(monkeypatch):
+    """The wave route forwards its data unguarded: derive_params covers
+    1.5 times the data's last live frequency, so on its window apply_T's
+    coverage guard holds and gives the same branches bit for bit."""
+    seen = []
+    branch_transform = oscillator._branch_transform
+
+    def recorded(damped, p):
+        seen.append((p, branch_transform(damped, p)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(oscillator, "_branch_transform", recorded)
+    rng = np.random.default_rng(18)
+    for n, half, a in ((256, 10.0, 0.5), (512, 12.0, 1.0), (512, 8.0, 2.0)):
+        g = make_grid(-half, half, n)
+        x = g.points
+        mix = reconstruct(SpectralCoefficients(a, rng.standard_normal(8)), g)
+        width, center = rng.uniform(0.3, 1.5), rng.uniform(-2.0, 2.0)
+        bump = np.exp(-(((x - center) / width) ** 2) + 1j * rng.uniform(-2.0, 2.0) * x)
+        for v0 in (mix, SampledFunction(g, bump)):
+            seen.clear()
+            _wave_ho_times(v0, a, (0.1,))
+            (p, b), = seen
+            guarded = intertwine.apply_T(v0, p)
+            assert np.array_equal(b.plus.values, guarded.plus.values)
+            assert np.array_equal(b.minus.values, guarded.minus.values)
 
 
 def test_wave_times_keep_the_single_call_shortcuts(monkeypatch):
