@@ -41,6 +41,9 @@ class SpectralCoefficients:
         if not np.all(np.isfinite(coeffs)):
             raise ValueError("coefficients must be finite")
         self.a = float(a)
+        if (2 * coeffs.size - 1) * self.a > np.finfo(float).max:
+            raise ValueError(f"coupling a = {self.a:g} is too large for {coeffs.size} "
+                             "modes: the rate (2n+1)a of the last one overflows")
         self.coeffs = coeffs
         # (n_max, a, grid, table) of the projection that produced these
         # coefficients, set by expand; reused only while the key matches
@@ -69,7 +72,9 @@ def hermite_table(n_max, a, x):
     x = np.asarray(x, dtype=float)
     y = np.sqrt(a) * x
     out = np.empty((n_max + 1, x.size))
-    out[0] = (a / np.pi) ** 0.25 * np.exp(-0.5 * y**2)
+    # far out at a huge a, y^2 overflows and its factor reads 0
+    with np.errstate(over="ignore"):
+        out[0] = (a / np.pi) ** 0.25 * np.exp(-0.5 * y**2)
     if n_max >= 1:
         out[1] = np.sqrt(2.0) * y * out[0]
     # h_{n+1} = sqrt(2/(n+1)) y h_n - sqrt(n/(n+1)) h_{n-1}, written into

@@ -34,6 +34,12 @@ Numerical plan, chosen to survive the weight's super-exponential growth:
 * The final multiplication by e^{+ax^2/2} amplifies any noise in the damped
   reconstruction by up to e^{ax^2/2}; values below a noise floor are zeroed
   first (mask_floor; see apply_T_inverse).
+* apply_T is the one guarded entry: it refuses data whose damped spectrum
+  has not decayed by the top frequency of the window it is given.  The
+  conjugated routes (oscillator) take their window from derive_params,
+  which covers 1.5 times the data's last live frequency, so they skip the
+  guard and its second FFT and forward the damped data once through the
+  unguarded core, _branch_transform.
 """
 
 from dataclasses import dataclass
@@ -252,7 +258,9 @@ def _inverse_phase_sums(x_grid, xi, c_plus, c_minus, tables):
 
 def _damped(phi, a):
     x = phi.grid.points
-    return phi.values * np.exp(-0.5 * a * x**2)
+    # at a huge a the exponent reads -inf, and its factor 0 as it should
+    with np.errstate(over="ignore"):
+        return phi.values * np.exp(-0.5 * a * x**2)
 
 
 def _band_edge(x_grid):
@@ -396,7 +404,21 @@ def apply_T_inverse(b, p, mask_floor=1.0e-15):
     dpeak = np.max(np.abs(damped))
     if dpeak > 0.0 and mask_floor > 0.0:
         damped = np.where(np.abs(damped) < mask_floor * dpeak, 0.0, damped)
-    return SampledFunction(p.x_grid, damped * np.exp(0.5 * a * x**2))
+    # e^{ax^2/2} may overflow far out, at samples the mask has zeroed: they
+    # stay 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        grow = np.exp(0.5 * a * x**2, where=damped != 0, out=np.ones(x.size))
+        return _undamped(p.x_grid, damped * grow, a)
+
+
+def _undamped(x_grid, values, a):
+    # a route's result after its factor e^{ax^2/2}, refused by name where
+    # that factor overflowed at a sample the mask kept
+    if not np.all(np.isfinite(values)):
+        raise ValueError(
+            f"e^(ax^2/2) overflows at a = {a:g} where the damped result is "
+            "above its mask floor; the grid reaches too far for this coupling")
+    return SampledFunction(x_grid, values)
 
 
 def oscillator_apply(phi, a):
@@ -470,6 +492,13 @@ def derive_params(a, x_grid, phi):
     if xi_cover > _band_edge(x_grid):
         raise ValueError(
             f"spectral support (to {xi_tail:.3g}) exceeds the x-grid band"
+        )
+    # the weight's exponent xi^2/4a, compared without the division, which
+    # overflows at a subnormal a
+    if xi_cover**2 > 4.0 * a * MAX_WEIGHT_EXPONENT:
+        raise ValueError(
+            f"coupling a = {a:g} is too small for this data: the weight "
+            f"e^(xi^2/4a) overflows at its spectral edge xi = {xi_cover:.3g}"
         )
     X_min = -np.log(xi_cover) / (2.0 * a)
     X_max = X_EXTENT / a

@@ -17,7 +17,7 @@ from .fourier import SpectralFunction, forward_ft, inverse_ft, spectral_resample
 from .grids import SampledFunction, quadrature_weights
 from .intertwine import (BranchPair, apply_T_inverse, _band_edge,
                          _branch_transform, _damped, _spectral_tail,
-                         _transport_rows, derive_params, SA_DECAY)
+                         _transport_rows, _undamped, derive_params, SA_DECAY)
 from .dirac import wave_dirac
 
 HEAT_KERNEL_VARIANTS = ("mehler", "paper_literal", "paper_corrected")
@@ -73,7 +73,8 @@ class OscillatorParams:
 
 
 class KernelTailWarning(UserWarning):
-    """Kernel quadrature reached the grid edge with live integrand mass."""
+    """Kernel quadrature misses live integrand mass: at the grid edge, or
+    between nodes too coarse for the kernel's width."""
 
 
 def _mehler_terms(a, t):
@@ -202,7 +203,10 @@ def heat_ho_kernel_route(u0, p, variant="mehler"):
     larger than TAIL_GUARD times its peak.  The edge columns cost O(n).
     The integrand's diagonal bounds its peak from below, which settles the
     common, quiet case; otherwise the exact peak is taken over the n^2
-    products without any exponential.
+    products without any exponential.  The grid must also resolve the
+    kernel's width ~ B^{-1/2}: a KernelTailWarning reports where the
+    trapezoid sum of the Gaussian factor misses its integral by more than
+    TAIL_GUARD (_gauss_step_error).
     """
     if variant not in HEAT_KERNEL_VARIANTS:
         raise ValueError(f"unknown heat kernel variant {variant!r}")
@@ -241,7 +245,29 @@ def heat_ho_kernel_route(u0, p, variant="mehler"):
             KernelTailWarning,
             stacklevel=2,
         )
+    step_error = _gauss_step_error(B, g.spacing) if B > 0 else 0.0
+    if step_error > TAIL_GUARD:
+        warnings.warn(
+            f"kernel width is unresolved: the grid step misses the Gaussian "
+            f"factor's integral by {step_error:.2e}; refine the grid",
+            KernelTailWarning,
+            stacklevel=2,
+        )
     return SampledFunction(g, out)
+
+
+def _gauss_step_error(B, h):
+    # relative error of the trapezoid sum of e^{-(B/2) d^2} at step h, by
+    # Poisson summation: 2 sum_{m >= 1} e^{-c m^2}, c = 2 pi^2 / (B h^2);
+    # for c < 1 the same sum through Jacobi's theta identity, whose terms
+    # e^{-pi^2 m^2 / c} decay at once.  c is inf or 0 where B h^2
+    # leaves the double range.
+    with np.errstate(over="ignore", divide="ignore"):
+        c = np.float64(2.0 * np.pi**2) / (B * h * h)
+        m = np.arange(1.0, 9.0)
+        if c >= 1.0:
+            return float(2.0 * np.sum(np.exp(-c * m * m)))
+        return float(np.sqrt(np.pi / c) * (1.0 + 2.0 * np.sum(np.exp(-np.pi**2 * m * m / c))) - 1.0)
 
 
 def _tail_fraction(left, gauss, mag):
@@ -285,7 +311,10 @@ def heat_ho_spectral_route(u0, p):
         )
     shrunk = spectral_resample(G, np.exp(-2.0 * a * t))
     xi = shrunk.xi_grid.points
-    mult = np.exp(-(1.0 - np.exp(-4.0 * a * t)) * xi * xi / (4.0 * a))
+    # at a tiny a the exponent reads -inf past xi = 0, and its factor 0 as
+    # it should
+    with np.errstate(over="ignore"):
+        mult = np.exp(-(1.0 - np.exp(-4.0 * a * t)) * xi * xi / (4.0 * a))
     out = inverse_ft(
         SpectralFunction(shrunk.xi_grid, mult * shrunk.values, shrunk.x_grid)
     )
@@ -294,9 +323,10 @@ def heat_ho_spectral_route(u0, p):
     if peak > 0.0:
         vals = np.where(np.abs(vals) < SPECTRAL_MASK_FLOOR * peak, 0.0, vals)
     x = g.points
-    return SampledFunction(
-        g, np.exp(-a * t) * vals * np.exp(0.5 * a * x * x)
-    )
+    # as in apply_T_inverse: masked samples stay 0 where e^{ax^2/2} overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        grow = np.exp(0.5 * a * x * x, where=vals != 0, out=np.ones(g.n))
+        return _undamped(g, np.exp(-a * t) * vals * grow, a)
 
 
 def heat_via_intertwining(u0, p):

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,17 +12,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oscwave import (
     OscillatorParams,
     SampledFunction,
+    SpectralCoefficients,
     VerificationReport,
     heat_kernel,
     hermite_fn,
     make_grid,
     read_function_csv,
+    reconstruct,
     wave_ho,
     write_function_csv,
 )
@@ -546,3 +549,78 @@ def test_malformed_input_exits_one_with_a_message(call):
     assert rc == 1, (argv, text)
     assert err.startswith("oscwave: "), (argv, text)
     assert caught == [], (argv, text)
+
+
+def test_subnormal_coupling_is_refused_by_name(tmp_path):
+    """A subnormal a once overflowed in derive_params (X_EXTENT / a)."""
+    src = tmp_path / "in.csv"
+    _write_ground_state(src, n=512)
+    for command in ("wave-ho", "heat-ho --route intertwine"):
+        rc, err, caught = _run_quietly([*command.split(), "--a", "1e-316", "--t", "1",
+                                        "--input", str(src),
+                                        "--output", str(tmp_path / "out.csv")])
+        assert rc == 1 and caught == []
+        assert err.startswith("oscwave: coupling a = 1e-316 is too small")
+
+
+@pytest.mark.parametrize("command, message", [
+    ("heat-ho --route oracle", "coupling a = 8.4e+306 is too large for 129 modes"),
+    ("wave-ho --route oracle", "coupling a = 8.4e+306 is too large for 129 modes"),
+    ("heat-ho --route spectral", "not band-limited"),
+    ("heat-ho --route intertwine", "exceeds the x-grid band")])
+def test_huge_coupling_is_refused_by_name(oscillator_csv, tmp_path, command, message):
+    """At a = 8.4e306 the damped data is one sample wide and the oracle's
+    last rate (2n+1)a overflows; both once ended in an overflow warning."""
+    rc, err, caught = _run_quietly([*command.split(), "--a", "8.4e306", "--t", "0",
+                                    "--input", str(oscillator_csv),
+                                    "--output", str(tmp_path / "out.csv")])
+    assert rc == 1 and message in err
+    assert not any("overflow" in w for w in caught)
+
+
+# every positive finite double, subnormals included, log-uniformly: a
+# mantissa in [1, 2) times a power of two from 2^-1074 to 2^1023
+_POSITIVE = st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True),
+                      st.integers(-1074, 1023))
+
+
+@pytest.fixture(scope="module")
+def oscillator_csv(tmp_path_factory):
+    # CI's conjugated-route data: 8 seeded modes at a = 1 on [-12, 12)
+    path = tmp_path_factory.mktemp("ho") / "osc.csv"
+    g = make_grid(-12.0, 12.0, 512)
+    coeffs = SpectralCoefficients(1.0, np.random.default_rng(5).standard_normal(8))
+    write_function_csv(reconstruct(coeffs, g), path)
+    return path
+
+
+@pytest.mark.parametrize("command", [
+    "heat-ho --route kernel", "heat-ho --route spectral", "heat-ho --route intertwine",
+    "heat-ho --route oracle", "wave-ho --route direct", "wave-ho --route oracle"])
+@given(a=_POSITIVE, t=st.one_of(st.just(0.0), _POSITIVE))
+# faults this property found: overflow warnings in derive_params (subnormal
+# a), in _damped and the oracle rates (huge a), in the final e^{ax^2/2}
+# (a = 24) and in the spectral multiplier (tiny a, huge t)
+@example(a=1e-316, t=1.0)
+@example(a=2.0**1018, t=0.0)
+@example(a=2.0**1017, t=0.0)
+@example(a=24.0, t=0.0)
+@example(a=2.1360709041669133e-306, t=1.4044477616111843e308)
+def test_oscillator_routes_exit_cleanly_over_the_double_range(oscillator_csv, command, a, t):
+    """Each call writes finite output (exit 0) or names its refusal on one
+    line (exit 1); a numpy RuntimeWarning is an error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        dst = Path(tmp) / "out.csv"
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True), redirect_stderr(err):
+            warnings.simplefilter("always")
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main([*command.split(), "--a", repr(a), "--t", repr(t),
+                       "--input", str(oscillator_csv), "--output", str(dst)])
+        err = err.getvalue()
+        if rc == 0:
+            values = np.loadtxt(dst, delimiter=",", skiprows=1)
+            assert values.shape == (512, 3) and np.all(np.isfinite(values))
+        else:
+            assert rc == 1
+            assert err.startswith("oscwave: ") and err.count("\n") == 1, err

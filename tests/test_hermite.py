@@ -42,6 +42,20 @@ def test_mode_bounds():
         hermite_fn(0, 0.0, X)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_coefficients_refuse_a_coupling_whose_last_rate_overflows():
+    SpectralCoefficients(1e305, np.ones(129))
+    with pytest.raises(ValueError, match="too large for 129 modes"):
+        SpectralCoefficients(1e306, np.ones(129))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_table_reads_zero_where_the_scaled_variable_overflows():
+    # y^2 = a x^2 leaves the double range at |x| = 12 for a = 1e307
+    table = hermite_table(3, 1e307, np.array([0.0, 12.0]))
+    assert np.all(np.isfinite(table)) and not np.any(table[:, 1])
+
+
 def test_eigenvalue_table():
     assert eigenvalue(0, 1.0) == -1.0
     assert eigenvalue(3, 0.5) == -3.5

@@ -98,9 +98,11 @@ def test_closed_form_kernels_refuse_t_where_their_gaussian_rate_overflows():
             assert np.array_equal(k, np.diag(np.diag(k)))
             assert np.allclose(np.diag(k), 1.0 / np.sqrt(4.0 * np.pi * t),
                                rtol=1e-13, atol=0.0)
-            # the route's quadrature of this unresolved kernel is its diagonal
+            # the route's quadrature of this unresolved kernel is its
+            # diagonal, and the route says the width is unresolved
             u = SampledFunction(wide, np.exp(-(y / 8.0) ** 2).astype(complex))
-            out = heat_ho_kernel_route(u, OscillatorParams(1e12, t), variant)
+            with pytest.warns(KernelTailWarning, match="width is unresolved"):
+                out = heat_ho_kernel_route(u, OscillatorParams(1e12, t), variant)
             dense = wide.spacing * np.diag(k) * quadrature_weights(wide.n) * u.values
             assert np.allclose(out.values, dense, rtol=1e-12, atol=0.0)
 
@@ -261,6 +263,32 @@ def test_kernel_route_warns_on_truncated_mass():
     u = SampledFunction(g, hermite_fn(0, 1.0, g.points).astype(complex))
     with pytest.warns(KernelTailWarning, match="truncates"):
         heat_ho_kernel_route(u, OscillatorParams(1.0, 0.5))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("t, estimate", [(1e-3, 3.15e-8), (3e-4, 9.12e-3), (1e-4, 3.33e-1)])
+def test_kernel_route_warns_on_an_unresolved_width(t, estimate):
+    """On [-12, 12) with 512 nodes the Gaussian factor's Poisson estimate
+    tracks the route's error against the oracle (3.2e-8, 9.1e-3, 0.333);
+    the warning leaves the output's bits alone."""
+    g = make_grid(-12.0, 12.0, 512)
+    u = SampledFunction(g, np.exp(-g.points**2 / 2).astype(complex))
+    p = OscillatorParams(1.0, t)
+    with pytest.warns(KernelTailWarning, match=f"width is unresolved.*{estimate:.2e}"):
+        out = heat_ho_kernel_route(u, p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", KernelTailWarning)
+        assert np.array_equal(out.values, heat_ho_kernel_route(u, p).values)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("variant", ["mehler", "paper_corrected"])
+def test_kernel_route_is_quiet_on_a_resolved_width(variant):
+    # the literal variant's Gaussian factor grows (B < 0): no width to resolve
+    g = make_grid(-12.0, 12.0, 512)
+    u = SampledFunction(g, np.exp(-g.points**2 / 2).astype(complex))
+    for t in (3e-3, 0.4, 5.0):
+        heat_ho_kernel_route(u, OscillatorParams(1.0, t), variant)
 
 
 def _dense_integrand(u0, p, variant="mehler"):
@@ -425,6 +453,22 @@ def test_spectral_route_transforms_its_data_once(monkeypatch):
     assert calls == [GRID_S]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_undamping_overflow_far_out_keeps_masked_samples_zero():
+    """At a = 24 on [-12, 12), e^{ax^2/2} overflows past |x| = 7.7.  The
+    spectral route has masked every sample there and returns zeros (it
+    read nan with an overflow warning); T's inverse keeps noise above its
+    floor there and refuses by name."""
+    u0 = _c05_data(512)
+    p = OscillatorParams(24.0, 0.01)
+    out = heat_ho_spectral_route(u0, p)
+    far = np.abs(u0.grid.points) > np.sqrt(2.0 * 709.8 / 24.0)
+    assert np.any(far) and not np.any(out.values[far])
+    assert rel_l2_error(out, heat_ho_kernel_route(u0, p)) <= 1e-4
+    with pytest.raises(ValueError, match="overflows at a = 24 where"):
+        heat_via_intertwining(u0, p)
+
+
 def test_spectral_route_rejects_unresolved_data():
     g = make_grid(-12.0, 12.0, 256)
     sharp = SampledFunction(g, np.exp(-20 * g.points**2).astype(complex))
@@ -569,13 +613,18 @@ def test_heat_times_that_cannot_be_aligned_share_one_build(t, monkeypatch):
     """t = 1e-3 is under half an X step (aligning would need ~20000 rows),
     and a t = 40 reaches past the window (s >= N): both keep the derived
     window and build its nodes and the contracted ones in one call of
-    2 X_NODES rows, and still agree with the kernel route to c05's gate."""
+    2 X_NODES rows, and still agree with the kernel route to c05's gate.
+    At t = 1e-3 the 512-node grid leaves the kernel's width unresolved
+    (estimated 3.2e-8), which the kernel route reports."""
     builds = _count_table_builds(monkeypatch)
     u0 = _c05_data(512)
     p = OscillatorParams(1.0, t)
     ui = heat_via_intertwining(u0, p)
     assert builds == [2 * intertwine.X_NODES]
-    assert rel_l2_error(heat_ho_kernel_route(u0, p), ui) <= 1e-5
+    with (pytest.warns(KernelTailWarning, match="width is unresolved") if t < 1.0
+          else warnings.catch_warnings()):
+        uk = heat_ho_kernel_route(u0, p)
+    assert rel_l2_error(uk, ui) <= 1e-5
 
 
 def test_shared_rows_match_a_long_double_direct_sum():
