@@ -185,7 +185,8 @@ class IntertwineParams:
                 f"X_grid reaches xi = {xi_max:.3g}, beyond the x-grid band "
                 f"(Nyquist {nyquist:.3g}); refine x_grid or raise X_min"
             )
-        if xi_max**2 / (4.0 * self.a) > MAX_WEIGHT_EXPONENT:
+        # xi^2/4a without the division, which overflows at a subnormal a
+        if xi_max**2 > 4.0 * self.a * MAX_WEIGHT_EXPONENT:
             raise ValueError("weight would overflow at the X_grid lower end")
 
     @property
@@ -488,13 +489,16 @@ def derive_params(a, x_grid, phi):
         raise ValueError("cannot derive a window for identically zero data")
     # never empty: the peak itself clears SA_DECAY * peak
     xi_tail = float(np.max(np.abs(F.xi_grid.points)[mag > SA_DECAY * peak]))
+    if xi_tail == 0.0:
+        raise ValueError("damped data is constant on this grid: its spectrum "
+                         "is one bin at xi = 0, which no X window reaches")
     xi_cover = 1.5 * xi_tail
     if xi_cover > _band_edge(x_grid):
         raise ValueError(
             f"spectral support (to {xi_tail:.3g}) exceeds the x-grid band"
         )
-    # the weight's exponent xi^2/4a, compared without the division, which
-    # overflows at a subnormal a
+    # IntertwineParams checks the same, but at a subnormal a X_min and X_max
+    # below overflow first
     if xi_cover**2 > 4.0 * a * MAX_WEIGHT_EXPONENT:
         raise ValueError(
             f"coupling a = {a:g} is too small for this data: the weight "

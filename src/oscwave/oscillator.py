@@ -267,7 +267,8 @@ def _gauss_step_error(B, h):
         m = np.arange(1.0, 9.0)
         if c >= 1.0:
             return float(2.0 * np.sum(np.exp(-c * m * m)))
-        return float(np.sqrt(np.pi / c) * (1.0 + 2.0 * np.sum(np.exp(-np.pi**2 * m * m / c))) - 1.0)
+        theta = 1.0 + 2.0 * np.sum(np.exp(-np.pi**2 * m * m / c))
+        return float(np.sqrt(np.pi / c) * theta - 1.0)
 
 
 def _tail_fraction(left, gauss, mag):

@@ -551,39 +551,6 @@ def test_malformed_input_exits_one_with_a_message(call):
     assert caught == [], (argv, text)
 
 
-def test_subnormal_coupling_is_refused_by_name(tmp_path):
-    """A subnormal a once overflowed in derive_params (X_EXTENT / a)."""
-    src = tmp_path / "in.csv"
-    _write_ground_state(src, n=512)
-    for command in ("wave-ho", "heat-ho --route intertwine"):
-        rc, err, caught = _run_quietly([*command.split(), "--a", "1e-316", "--t", "1",
-                                        "--input", str(src),
-                                        "--output", str(tmp_path / "out.csv")])
-        assert rc == 1 and caught == []
-        assert err.startswith("oscwave: coupling a = 1e-316 is too small")
-
-
-@pytest.mark.parametrize("command, message", [
-    ("heat-ho --route oracle", "coupling a = 8.4e+306 is too large for 129 modes"),
-    ("wave-ho --route oracle", "coupling a = 8.4e+306 is too large for 129 modes"),
-    ("heat-ho --route spectral", "not band-limited"),
-    ("heat-ho --route intertwine", "exceeds the x-grid band")])
-def test_huge_coupling_is_refused_by_name(oscillator_csv, tmp_path, command, message):
-    """At a = 8.4e306 the damped data is one sample wide and the oracle's
-    last rate (2n+1)a overflows; both once ended in an overflow warning."""
-    rc, err, caught = _run_quietly([*command.split(), "--a", "8.4e306", "--t", "0",
-                                    "--input", str(oscillator_csv),
-                                    "--output", str(tmp_path / "out.csv")])
-    assert rc == 1 and message in err
-    assert not any("overflow" in w for w in caught)
-
-
-# every positive finite double, subnormals included, log-uniformly: a
-# mantissa in [1, 2) times a power of two from 2^-1074 to 2^1023
-_POSITIVE = st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True),
-                      st.integers(-1074, 1023))
-
-
 @pytest.fixture(scope="module")
 def oscillator_csv(tmp_path_factory):
     # CI's conjugated-route data: 8 seeded modes at a = 1 on [-12, 12)
@@ -592,6 +559,31 @@ def oscillator_csv(tmp_path_factory):
     coeffs = SpectralCoefficients(1.0, np.random.default_rng(5).standard_normal(8))
     write_function_csv(reconstruct(coeffs, g), path)
     return path
+
+
+@pytest.mark.parametrize("command, a, t, message", [
+    ("wave-ho", "1e-316", "1", "coupling a = 1e-316 is too small"),
+    ("heat-ho --route intertwine", "1e-316", "1", "coupling a = 1e-316 is too small"),
+    ("heat-ho --route oracle", "8.4e306", "0", "coupling a = 8.4e+306 is too large for 129 modes"),
+    ("wave-ho --route oracle", "8.4e306", "0", "coupling a = 8.4e+306 is too large for 129 modes"),
+    ("heat-ho --route spectral", "8.4e306", "0", "not band-limited"),
+    ("heat-ho --route intertwine", "8.4e306", "0", "exceeds the x-grid band")])
+def test_couplings_past_the_double_range_are_refused_by_name(oscillator_csv, tmp_path,
+                                                             command, a, t, message):
+    """A subnormal a overflowed X_EXTENT / a in derive_params; at a = 8.4e306
+    the damped data is one sample wide and the oracle's last rate (2n+1)a
+    overflows.  Each ended in an overflow warning."""
+    rc, err, caught = _run_quietly([*command.split(), "--a", a, "--t", t,
+                                    "--input", str(oscillator_csv),
+                                    "--output", str(tmp_path / "out.csv")])
+    assert rc == 1 and err.startswith("oscwave: ") and message in err
+    assert not any("overflow" in w for w in caught)
+
+
+# every positive finite double, subnormals included, log-uniformly: a
+# mantissa in [1, 2) times a power of two from 2^-1074 to 2^1023
+_POSITIVE = st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True),
+                      st.integers(-1074, 1023))
 
 
 @pytest.mark.parametrize("command", [

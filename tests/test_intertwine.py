@@ -20,7 +20,7 @@ from oscwave import (
     rel_l2_error,
     weight,
 )
-from oscwave.fourier import SpectralFunction
+from oscwave.fourier import EdgeDecayWarning, SpectralFunction
 from oscwave.intertwine import (_branch_transform, _centered_d, _damped, _inverse_phase_sums,
                                 _phase_sums, _phase_tables)
 
@@ -341,6 +341,23 @@ def test_derive_params_rejects_aliased_data():
     sharp = SampledFunction(g, np.exp(-20 * g.points**2).astype(complex))
     with pytest.raises(ValueError):
         derive_params(1.0, g, sharp)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_windows_refuse_couplings_and_data_they_cannot_cover():
+    """A subnormal coupling overflowed xi^2/4a (user window) and X_EXTENT/a
+    (derived window); data whose damped spectrum is one bin at xi = 0 took
+    log(0).  Each is now refused by name."""
+    g = make_grid(-12.0, 12.0, 512)
+    with pytest.raises(ValueError, match="weight would overflow"):
+        IntertwineParams(1e-316, g, make_grid(-1.0, 1.0, 64))
+    gauss = SampledFunction(g, np.exp(-g.points**2).astype(complex))
+    with pytest.raises(ValueError, match="coupling a = 1e-316 is too small"):
+        derive_params(1e-316, g, gauss)
+    flat = SampledFunction(g, np.ones(g.n, dtype=complex))
+    with pytest.raises(ValueError, match="constant on this grid"), \
+            pytest.warns(EdgeDecayWarning):
+        derive_params(1e-12, g, flat)
 
 
 def test_inverse_rejects_undecayed_branches():
