@@ -183,10 +183,11 @@ def spectral_wave_oracle_dirac(V0, t):
             f"t*sqrt(R/2) = {growth:.2f} exceeds {ORACLE_GROWTH_CAP:g}; "
             "the multiplier would amplify the band edge past 1e10"
         )
-    # sin(w)/w at w = t sqrt(z), z = -i xi, on every live bin at once; the
-    # w = 0 bin takes its limit t exactly
+    # sin(w)/w at w = t sqrt(z), z = -i xi, on every live bin at once; below
+    # |w| = 2^-26 it rounds to 1, so those bins (w = 0, and a subnormal w
+    # whose t sin(w)/w would overflow) take the limit t exactly
     w = t * np.sqrt(-1j * xi[live])
-    at_zero = w == 0
-    w[at_zero] = 1.0
-    vals[live] *= np.where(at_zero, t, t * np.sin(w) / w)
+    tiny = np.abs(w) < 2.0**-26
+    w[tiny] = 1.0
+    vals[live] *= np.where(tiny, t, t * np.sin(w) / w)
     return inverse_ft(SpectralFunction(F.xi_grid, vals, F.x_grid))

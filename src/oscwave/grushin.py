@@ -50,11 +50,15 @@ def oscillator_kernel_in_coupling(a, t, x, xp):
     """
     a = np.asarray(a, dtype=float)
     zero = a == 0.0
-    free = np.exp(-((x - xp) ** 2) / (4.0 * t)) / np.sqrt(4.0 * np.pi * t)
-    # the Mehler form is singular at a = 0; it is evaluated there at a = 1
-    # and discarded, so no warning is raised
-    mehler = np.exp(_log_mehler(np.where(zero, 1.0, a), t, x, xp))
-    return np.where(zero, free, mehler)
+    # at a tiny t or far from the origin the exponents leave the double
+    # range: -inf where they should, and inf - inf in _log_mehler only where
+    # x x' < 0, whose true exponent is -inf too, so nan reads as 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        free = np.exp(-((x - xp) ** 2) / (4.0 * t)) / np.sqrt(4.0 * np.pi * t)
+        # the Mehler form is singular at a = 0; it is evaluated there at
+        # a = 1 and discarded, so no warning is raised
+        mehler = np.exp(_log_mehler(np.where(zero, 1.0, a), t, x, xp))
+    return np.where(zero, free, np.nan_to_num(mehler, nan=0.0, posinf=np.inf))
 
 
 def _blocks(rows, columns):

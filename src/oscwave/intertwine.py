@@ -85,60 +85,87 @@ RESIDUAL_TOL = 1.0e-5
 # The inverse ends with a multiplication by e^{ax^2/2}, which amplifies any
 # noise in the phase sums by up to ~1e8 before the mask cuts in.  The table
 # arguments run to thousands of rad, so rounding one to double costs ~1e-12
-# in its entry.  Measured with such plain-double arguments: every verify
-# verdict and the three tuned round trips of the tests still hold (4.2e-9,
-# 7.8e-9, 4.7e-9 against the gate 1e-8), but c11's informational
-# oscillator_wave_vs_oracle_t0.1 reads 7.3 instead of 0.41, and the
-# factorized sums miss a long-double direct sum by more than 1e-13.
-# So each table row's step angle (xi x0, xi h m, xi h) is formed in long
-# double and reduced once to a 64-bit fixed-point fraction of a turn
-# (_turns): 3N long-double values per table set, where the entries number
-# N (2 sqrt(n) + 1).  An entry's angle is then an exact uint64 product, row
-# step times column index, whose wrap-around mod 2^64 is exact reduction
-# mod 2pi.  Each entry is rounded once to radians (int64 turns times 2pi/2^64
-# in long double, then double) and takes a real cos and sin.  Measured on
-# 2 CPUs (numpy 2.4) against the earlier build, which formed, wrapped and
-# exponentiated every entry's angle in long double:
-#   build time at N = 4096, medians of 30 builds, 6 alternating runs:
-#     n = 512: 20-24 -> 12-14 ms; n = 2048: 35-43 -> 20-24 ms
-#   worst entry error against mpmath, 4000 sampled entries per table on
-#   grids [-12, 12), [-37.3, 41.9) and [20.5, 61.3):
-#     n = 512, 2048: <= 5.6e-16 -> <= 6.0e-16; n = 4099: 1.0-1.5e-15 ->
-#     0.8-1.0e-15 (the coarse table; 3.1e-16 is the floor of one rounding)
-#   tuned round trips of the tests (ground state, odd data, a = 0.5):
-#     4.66e-9, 7.78e-9, 4.96e-9 -> 4.66e-9, 7.40e-9, 4.99e-9
-# Rejected: rounding to radians twice in double (int64 -> double, times
-# 2pi/2^64) measured 4.7-9.6e-16 on the same entries; the same single
-# rounding done exactly in double (turns split in two 32-bit halves, 2pi
-# split in two) took 17.6 ms where long double takes 5.2 ms on 373k
-# entries; building the coarse table as products of two smaller trig
-# tables raised the odd-data round trip to 8.2e-9; the complex exp took
-# 16.3 ms where cos and sin take 8.0 ms on the 373k entries of one n = 2048
-# set.  The sums are accumulated in double by BLAS: summing the same
-# tables' terms in long double measured no better on the three tuned round
-# trips.
-_LD = np.longdouble
-_TWO_PI_LD = _LD("6.283185307179586476925286766559005768")
-# one full turn in 64-bit fixed point, and the radians of one unit
-_TURN = _LD(2.0**64)
-_RAD_PER_UNIT = _TWO_PI_LD / _TURN
+# in its entry; with such arguments c11's informational
+# oscillator_wave_vs_oracle_t0.1 reads 7.3 instead of 0.41.  So the tables
+# are built in plain double from exact products, on every platform:
+# * Step angles.  Each row's steps xi x0, xi h m and xi h are exact Dekker
+#   products (_two_prod; h m is one too), times a two-double 1/2pi, reduced
+#   mod one turn to a 64-bit fixed-point fraction (_turns).  An entry's
+#   angle is then an exact uint64 product, row step times column index,
+#   whose wrap-around mod 2^64 is exact reduction mod 2pi.  The coarse step
+#   is reduced from xi h m itself: m times the fine step in uint64 would
+#   multiply the fine step's rounding by up to n.
+# * Entry angles.  Each entry's int64 turn count times a two-double 2pi/2^64
+#   is formed exactly and rounded once to radians (_unit_phase), in blocks
+#   of rows that stay in cache; the real cos and sin follow.
+# Measured on 2 CPUs (numpy 2.4) against the earlier build, which formed
+# the steps in numpy's long double (80-bit on x86-64 Linux, plain double on
+# Windows and macOS arm64, software quad on aarch64 Linux):
+#   worst entry error against mpmath, 1500 sampled entries per table on
+#   [-37.3, 41.9) (n = 4099 and 2048), [20.5, 61.3) and [-12, 12):
+#     offset, coarse, fine 6.3e-16, 6.5e-16, 3.1e-16 -> 3.1e-16 each
+#   build time at N = 4096, medians of 31 builds interleaved in one
+#   process, two runs: n = 512: 10.3 -> 8.9-9.0 ms; n = 2048: 18.7 ->
+#   16.4-17.3 ms (without the row blocks a build took 24-28 ms at n = 2048)
+#   c11's t = 0.1 and 0.5 rows: 0.41 and 5.78e21 either way; with the
+#   earlier build's long double as plain double they read 1.7e15 and 9.1e23
+# Rejected: rounding each entry as int64 turns times the double nearest
+# 2pi/2^64.  That double sits 3.9e-17 below the true value, so every angle
+# shrinks by the same factor, and e^{ax^2/2} turns the bias into errors of
+# the conjugated wave route (max deviation over |x| <= 9 from the 128-mode
+# oracle, as a multiple of its peak): 187 instead of 0.53 on CI's data at
+# a = 0.5, t = 0.4, and 1.8e20 instead of 0.29 on a seed-1 eight-mode mix
+# at a = 2, t = 0.05.  The mpmath entry test does not see it (<= 8e-16);
+# test_conjugated_wave_keeps_its_phase_tables_unbiased does.  Also
+# rejected earlier: building the coarse table as products of two smaller
+# trig tables raised the odd-data round trip to 8.2e-9; the complex exp
+# took 16.3 ms where cos and sin take 8.0 ms on the 373k entries of one
+# n = 2048 set.  The sums are accumulated in double by BLAS: summing the
+# same tables' terms in long double measured no better on the three tuned
+# round trips.
+
+# 1/2pi and 2pi/2^64 (the radians of one fixed-point unit of a turn), each
+# an unevaluated sum of two doubles
+_INV_2PI = (0.15915494309189535, -9.839338337591243e-18)
+_RAD_PER_UNIT = (2.0 * math.pi / 2.0**64, 2.4492935982947064e-16 / 2.0**64)
 
 
-def _turns(theta):
-    """Long-double angles theta as uint64 fractions of a turn, mod one turn."""
-    t = theta / _TWO_PI_LD
-    units = np.rint((t - np.floor(t)) * _TURN)
-    # the upper half turn as negative int64, so the cast stays in range
-    units = np.where(units >= _TURN / 2, units - _TURN, units)
-    return units.astype(np.int64).view(np.uint64)
+def _two_prod(a, b):
+    """(p, e) with p = fl(a b) and p + e = a b exactly: Dekker's product on
+    Veltkamp splits, exact for |a|, |b| < 2^996 while a b stays normal."""
+    p = a * b
+    ca, cb = 134217729.0 * a, 134217729.0 * b
+    a1, b1 = ca - (ca - a), cb - (cb - b)
+    a2, b2 = a - a1, b - b1
+    return p, ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
+
+
+def _turns(hi, lo):
+    """Angles hi + lo (rad, two doubles) as uint64 fractions of a turn."""
+    t, e = _two_prod(hi, _INV_2PI[0])
+    # t and the rest, each reduced mod one turn apart (the rest alone passes
+    # 2^63 units once |t| >= 2^52); +2^63 units wraps to -2^63
+    f = np.array([t, e + (lo * _INV_2PI[0] + hi * _INV_2PI[1])])
+    u = np.rint((f - np.rint(f)) * 2.0**64)
+    u = np.where(u < 2.0**63, u, -(2.0**63)).astype(np.int64).view(np.uint64)
+    return u[0] + u[1]
 
 
 def _unit_phase(turns):
     """e^{-i theta} for fixed-point turns theta, rounded once to radians."""
-    theta = (turns.view(np.int64).astype(_LD) * -_RAD_PER_UNIT).astype(float)
-    out = np.empty(theta.shape, dtype=complex)
-    np.cos(theta, out=out.real)
-    np.sin(theta, out=out.imag)
+    out = np.empty(turns.shape, dtype=complex)
+    # row blocks of about 8192 entries, whose temporaries stay in cache
+    blocks = max(1, turns.size // 8192)
+    for k, part in zip(np.array_split(turns.view(np.int64), blocks),
+                       np.array_split(out, blocks)):
+        # k = hi + lo with lo its low 11 bits, so hi has at most 52
+        # significant bits and both parts convert to double exactly
+        lo = k & 2047
+        hi = (k - lo).astype(float)
+        p, e = _two_prod(hi, _RAD_PER_UNIT[0])
+        theta = -(p + (e + (hi * _RAD_PER_UNIT[1] + lo * _RAD_PER_UNIT[0])))
+        np.cos(theta, out=part.real)
+        np.sin(theta, out=part.imag)
     return out
 
 
@@ -150,16 +177,16 @@ def _phase_tables(xi, grid):
     (N), coarse = e^{-i xi h m J} (N x ceil(n/m)) and fine = e^{-i xi h r}
     (N x m).  The last J row may run past the n samples; callers pad it.
     """
-    n = grid.n
+    n, h = grid.n, grid.spacing
     m = math.isqrt(n - 1) + 1
-    h = _LD(grid.spacing)
-    xi = xi.astype(_LD)
-    offset = _unit_phase(_turns(xi * _LD(grid.x_min)))
-    coarse = _unit_phase(np.multiply.outer(
-        _turns(xi * (h * m)), np.arange(-(-n // m), dtype=np.uint64)))
-    fine = _unit_phase(np.multiply.outer(
-        _turns(xi * h), np.arange(m, dtype=np.uint64)))
-    return offset, coarse, fine
+    # the row steps xi x0, xi h m and xi h as exact products
+    hm, hm_err = _two_prod(h, float(m))
+    hi, lo = _two_prod(xi, np.array([[grid.x_min], [hm], [h]]))
+    lo[1] += xi * hm_err
+    offset, coarse, fine = _turns(hi, lo)
+    return (_unit_phase(offset),
+            _unit_phase(np.multiply.outer(coarse, np.arange(-(-n // m), dtype=np.uint64))),
+            _unit_phase(np.multiply.outer(fine, np.arange(m, dtype=np.uint64))))
 
 
 @dataclass(frozen=True)
@@ -396,29 +423,24 @@ def apply_T_inverse(b, p, mask_floor=1.0e-15):
                 f"(edge/peak = {edge / peak:.2e}); widen the X window"
             )
     xi = p.xi_nodes
-    dX = p.X_grid.spacing
-    x = p.x_grid.points
     # trapezoid end corrections vanish against the decayed integrand
-    amp = 2.0 * a * dX / SQRT_2PI
-    damped = _inverse_phase_sums(p.x_grid, xi, xi * g_plus, xi * g_minus,
-                                 p.phase_tables) * amp
-    dpeak = np.max(np.abs(damped))
-    if dpeak > 0.0 and mask_floor > 0.0:
-        damped = np.where(np.abs(damped) < mask_floor * dpeak, 0.0, damped)
+    damped = _inverse_phase_sums(p.x_grid, xi, xi * g_plus, xi * g_minus, p.phase_tables)
+    return _undamped(p.x_grid, damped * (2.0 * a * p.X_grid.spacing / SQRT_2PI), a, mask_floor)
+
+
+def _undamped(x_grid, damped, a, floor):
+    """damped e^{ax^2/2} on x_grid, after zeroing the samples of damped
+    under floor times its peak; refused by name where the factor overflows
+    at a sample the mask kept."""
+    damped = np.where(np.abs(damped) < floor * np.max(np.abs(damped)), 0.0, damped)
+    x = x_grid.points
     # e^{ax^2/2} may overflow far out, at samples the mask has zeroed: they
     # stay 0
     with np.errstate(over="ignore", invalid="ignore"):
-        grow = np.exp(0.5 * a * x**2, where=damped != 0, out=np.ones(x.size))
-        return _undamped(p.x_grid, damped * grow, a)
-
-
-def _undamped(x_grid, values, a):
-    # a route's result after its factor e^{ax^2/2}, refused by name where
-    # that factor overflowed at a sample the mask kept
+        values = damped * np.exp(0.5 * a * x * x, where=damped != 0, out=np.ones(x.size))
     if not np.all(np.isfinite(values)):
-        raise ValueError(
-            f"e^(ax^2/2) overflows at a = {a:g} where the damped result is "
-            "above its mask floor; the grid reaches too far for this coupling")
+        raise ValueError(f"e^(ax^2/2) overflows at a = {a:g} where the damped result is "
+                         "above its mask floor; the grid reaches too far for this coupling")
     return SampledFunction(x_grid, values)
 
 

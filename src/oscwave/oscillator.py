@@ -319,15 +319,7 @@ def heat_ho_spectral_route(u0, p):
     out = inverse_ft(
         SpectralFunction(shrunk.xi_grid, mult * shrunk.values, shrunk.x_grid)
     )
-    vals = out.values
-    peak = np.max(np.abs(vals))
-    if peak > 0.0:
-        vals = np.where(np.abs(vals) < SPECTRAL_MASK_FLOOR * peak, 0.0, vals)
-    x = g.points
-    # as in apply_T_inverse: masked samples stay 0 where e^{ax^2/2} overflows
-    with np.errstate(over="ignore", invalid="ignore"):
-        grow = np.exp(0.5 * a * x * x, where=vals != 0, out=np.ones(g.n))
-        return _undamped(g, np.exp(-a * t) * vals * grow, a)
+    return _undamped(g, np.exp(-a * t) * out.values, a, SPECTRAL_MASK_FLOOR)
 
 
 def heat_via_intertwining(u0, p):

@@ -561,6 +561,32 @@ def oscillator_csv(tmp_path_factory):
     return path
 
 
+def test_wave_dirac_oracle_at_a_subnormal_time_writes_finite_values(oscillator_csv, tmp_path):
+    # t sin(w)/w overflowed at a subnormal w, and the run exited 1 blaming
+    # the data ("sampled values must be finite") after two RuntimeWarnings
+    dst = tmp_path / "out.csv"
+    rc, err, caught = _run_quietly(["wave-dirac", "--route", "oracle", "--t", "1.8707653374e-313",
+                                    "--input", str(oscillator_csv), "--output", str(dst)])
+    assert (rc, err, caught) == (0, "", [])
+    values = np.loadtxt(dst, delimiter=",", skiprows=1)
+    assert values.shape == (512, 3) and np.all(np.isfinite(values))
+
+
+@pytest.mark.parametrize("dy, message", [
+    ("1902692121.2080727", "|y - y'| = 1.90269e+09 exceeds 2.95656e-272 = pi (n_a - 1) / "
+     "(2 a_max), half the quadrature's alias period at a_max = 5.44043e+274, n_a = 1025"),
+    ("0", "the kernel at t = 1.47047e-274 leaves the double range at x = -2.5921e+71, "
+     "x' = -2.5921e+71")])
+def test_grushin_dump_far_out_at_a_tiny_time_is_refused_by_name(tmp_path, dy, message):
+    """The coupling kernel's exponents left the double range in the cutoff
+    search, with three RuntimeWarnings, before the alias guard refused."""
+    rc, err, caught = _run_quietly([
+        "grushin-heat", "--t", "1.4704723134816784e-274",
+        "--grid", "-2.592100298055869e+71,2.592100298055869e+71,11", "--dy", dy,
+        "--output", str(tmp_path / "g.csv")])
+    assert (rc, err, caught) == (1, f"oscwave: {message}\n", [])
+
+
 @pytest.mark.parametrize("command, a, t, message", [
     ("wave-ho", "1e-316", "1", "coupling a = 1e-316 is too small"),
     ("heat-ho --route intertwine", "1e-316", "1", "coupling a = 1e-316 is too small"),

@@ -244,6 +244,19 @@ def test_oracle_matches_mpmath_bin_by_bin():
         assert np.max(np.abs(got.values - ref.values)) <= 1e-13 * peak
 
 
+def test_oracle_at_a_subnormal_time_is_t_times_the_data():
+    """At t = 1.87e-313 every bin's w = t sqrt(-i xi) is subnormal, and
+    t sin(w)/w overflowed in the division; below |w| = 2^-26 sin(w)/w
+    rounds to 1, so each such bin takes the limit t.  The result is t V0
+    to the precision of subnormals (t spans 3.8e10 units of 2^-1074; the
+    FFT pair's rounding measures 1.1e-9 t)."""
+    t = 1.8707653374e-313
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        V = spectral_wave_oracle_dirac(GAUSS, t)
+    assert np.max(np.abs(V.values - t * GAUSS.values)) <= 1e-8 * t
+
+
 def test_oracle_residual_converges_at_second_order():
     def solution(s, x):
         g = make_grid(-16.0, 16.0, len(x))

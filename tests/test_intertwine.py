@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,8 +23,9 @@ from oscwave import (
     weight,
 )
 from oscwave.fourier import EdgeDecayWarning, SpectralFunction
-from oscwave.intertwine import (_branch_transform, _centered_d, _damped, _inverse_phase_sums,
-                                _phase_sums, _phase_tables)
+from oscwave.intertwine import (_INV_2PI, _RAD_PER_UNIT, _branch_transform, _centered_d,
+                                _damped, _inverse_phase_sums, _phase_sums, _phase_tables,
+                                _two_prod)
 
 GRID = make_grid(-12.0, 12.0, 2048)
 X = GRID.points
@@ -129,18 +132,23 @@ def test_factorized_phase_sums_match_a_long_double_direct_sum(n_x):
     assert_close(_inverse_phase_sums(g, xi, zero, c, tables), c @ phases)
 
 
-def test_phase_table_entries_match_mpmath():
+@pytest.mark.parametrize("lo, hi, n", [
+    pytest.param(-37.3, 41.9, 4099, id="straddling_zero"),
+    pytest.param(20.5, 61.3, 2048, id="positive_x0")])
+def test_phase_table_entries_match_mpmath(lo, hi, n):
     """Every table entry is e^{-i theta} to rounding, theta formed exactly.
 
-    The grid is off-center with |x0| = 37.3 and n = 4099 (prime), and xi
-    runs to 0.95 of the Nyquist frequency, so the arguments reach ~6000 rad:
-    rounding one to double before the reduction mod 2pi costs ~1e-13 there.
-    The worst of these 1200 sampled entries measures 6.3e-16.
+    One grid is off-center with |x0| = 37.3 and n = 4099 (prime), the
+    other lies wholly at x > 0, and xi runs to 0.95 of the Nyquist
+    frequency, so the arguments reach ~6000 rad: rounding one to double
+    before the reduction mod 2pi costs ~1e-13 there.  The worst of these
+    1200 sampled entries per grid measures 3.1e-16 and 2.5e-16, one
+    rounding.
     """
     mp = pytest.importorskip("mpmath")
     mp.mp.prec = 150
-    rng = np.random.default_rng(4099)
-    g = make_grid(-37.3, 41.9, 4099)
+    rng = np.random.default_rng(n)
+    g = make_grid(lo, hi, n)
     xi = np.sort(rng.uniform(1e-3, 0.95, 257)) * np.pi / g.spacing
     offset, coarse, fine = _phase_tables(xi, g)
     m = fine.shape[1]
@@ -152,6 +160,20 @@ def test_phase_table_entries_match_mpmath():
         want = np.array([complex(mp.expj(-mp.mpf(xi[k]) * steps[name](int(c))))
                          for k, c in zip(rows, cols)])
         assert np.max(np.abs(table[rows, cols] - want)) <= 8e-16, name
+
+
+def test_two_prod_is_exact():
+    """p + e is the product exactly, over the exponents the tables meet:
+    frequencies from e^{-37}, grid offsets and steps, turn counts to 2^63,
+    and the two constants it multiplies by, 1/2pi and 2pi/2^64."""
+    rng = np.random.default_rng(64)
+    a = np.ldexp(rng.uniform(-2.0, 2.0, 3000), rng.integers(-70, 64, 3000))
+    b = np.ldexp(rng.uniform(-2.0, 2.0, 3000), rng.integers(-70, 64, 3000))
+    b[:1000], b[1000:2000] = _INV_2PI[0], _RAD_PER_UNIT[0]
+    a[:2] = 2.0**63 - 2048.0, -(2.0**63)
+    p, e = _two_prod(a, b)
+    for ai, bi, pi, ei in zip(a, b, p, e):
+        assert Fraction(pi) + Fraction(ei) == Fraction(ai) * Fraction(bi), (ai, bi)
 
 
 def test_branch_spectra_deweights_to_the_damped_spectrum():

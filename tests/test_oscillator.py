@@ -11,6 +11,7 @@ from oscwave import (
     OscillatorParams,
     SampledFunction,
     SpectralCoefficients,
+    expand,
     heat_kernel,
     heat_ho_kernel_route,
     heat_ho_spectral_route,
@@ -21,6 +22,7 @@ from oscwave import (
     reconstruct,
     rel_l2_error,
     wave_ho,
+    wave_oracle,
 )
 from oscwave import intertwine, oscillator
 from oscwave.grids import quadrature_weights
@@ -670,6 +672,26 @@ def test_shared_rows_match_a_long_double_direct_sum():
         g, window.xi_nodes, c, zero, window.phase_tables), c @ inverse.conj())
     assert_close(intertwine._inverse_phase_sums(
         g, window.xi_nodes, zero, c, window.phase_tables), c @ inverse)
+
+
+def test_conjugated_wave_keeps_its_phase_tables_unbiased():
+    """wave_ho against the 128-mode oracle on CI's data at a = 0.5, t = 0.4.
+
+    The inverse multiplies by e^{ax^2/2}, up to e^{20} at |x| = 9, so a
+    bias in the phase tables' angles shows far out.  Rounding each entry
+    as int64 turns times the double nearest 2pi/2^64, which sits 3.9e-17
+    below the true step, shrinks every angle alike: the deviation then
+    measured 187 times the oracle's peak.  With each entry rounded once
+    from an exact product it measures 0.53, the windowed kernel's own
+    deviation.
+    """
+    v0 = _c05_data(512)
+    a, t = 0.5, 0.4
+    got = wave_ho(v0, OscillatorParams(a, t)).values
+    want = wave_oracle(expand(v0, a, 128), t, v0.grid).values
+    inside = np.abs(v0.grid.points) <= 9.0
+    peak = np.max(np.abs(want[inside]))
+    assert np.max(np.abs(got[inside] - want[inside])) <= 1.0 * peak
 
 
 def test_wave_starts_at_zero():
