@@ -63,15 +63,15 @@ def _glue_signed_values(argv):
 
 
 def _grid_triplet(text):
-    """Parse 'min,max,n' into a Grid1D."""
+    """Parse 'min,max,n'; make_grid checks the values when the command runs,
+    so a grid it refuses exits 1 with its reason like any domain error."""
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expected --grid min,max,n")
     try:
-        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+        return float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad grid spec {text!r}")
-    return make_grid(lo, hi, n)
 
 
 def build_parser():
@@ -180,7 +180,7 @@ def _run_wave_dirac(args):
 
 def _run_kernel(args):
     p = OscillatorParams(args.a, args.t)
-    x = args.grid.points
+    x = make_grid(*args.grid).points
     values = heat_kernel(args.variant, p, x[:, None], x[None, :])
     if not np.all(np.isfinite(values)):
         # the literal variant, evaluated as printed, overflows to inf
@@ -191,7 +191,7 @@ def _run_kernel(args):
 
 
 def _run_grushin(args):
-    x = args.grid.points
+    x = make_grid(*args.grid).points
     write_kernel_csv(x, x, grushin_heat_matrix(args.t, x, x, args.dy), args.output)
     return 0
 

@@ -7,6 +7,7 @@ function; both are implemented, cross-checked, and confronted with an
 independent spectral-multiplier solution.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -50,9 +51,11 @@ def heat_dirac(U0, t):
     _check_time(t)
     if t == 0:
         return SampledFunction(U0.grid, U0.values.copy())
-    _warn_if_wrapping(U0, t)
     F = forward_ft(U0)
     xi = F.xi_grid.points
+    if not math.isfinite(float(np.max(np.abs(xi))) * float(t)):
+        raise ValueError(f"shift t = {t:g} overflows the phase xi*t on this grid")
+    _warn_if_wrapping(U0, t)
     shifted = SpectralFunction(F.xi_grid, F.values * np.exp(1j * xi * t), F.x_grid)
     return inverse_ft(shifted)
 
@@ -177,10 +180,10 @@ def spectral_wave_oracle_dirac(V0, t):
     live = np.abs(vals) > ORACLE_BAND_TOL * peak
     vals[~live] = 0.0
     radius = np.max(np.abs(xi[live]))
-    growth = t * np.sqrt(radius / 2.0)
+    growth = float(t) * math.sqrt(radius / 2.0)
     if growth > ORACLE_GROWTH_CAP:
         raise ValueError(
-            f"t*sqrt(R/2) = {growth:.2f} exceeds {ORACLE_GROWTH_CAP:g}; "
+            f"t*sqrt(R/2) = {growth:.4g} exceeds {ORACLE_GROWTH_CAP:g}; "
             "the multiplier would amplify the band edge past 1e10"
         )
     # sin(w)/w at w = t sqrt(z), z = -i xi, on every live bin at once; below

@@ -42,6 +42,9 @@ class Grid1D:
             raise ValueError("grid bounds must be finite")
         if self.x_max <= self.x_min:
             raise ValueError(f"need x_min < x_max, got [{self.x_min}, {self.x_max}]")
+        if not np.isfinite(float(self.x_max) - float(self.x_min)):
+            raise ValueError(f"the span of [{self.x_min}, {self.x_max}] "
+                             "leaves the double range")
         if self.n < MIN_POINTS:
             raise ValueError(f"need at least {MIN_POINTS} samples, got {self.n}")
 

@@ -172,13 +172,20 @@ def heat_kernel(variant, p, x, xp):
     xp = np.asarray(xp, dtype=float)
     # at tiny t a Gaussian exponent -(x - x')^2/4t past the double range
     # reads -inf, and its entry underflows to 0 as it should
-    with np.errstate(over="ignore"):
-        if variant == "mehler":
-            out = np.exp(_log_mehler(p.a, p.t, x, xp))
-        elif variant == "paper_corrected":
-            out = np.exp(_log_corrected(p.a, p.t, x, xp))
-        else:
+    with np.errstate(over="ignore", invalid="ignore"):
+        if variant == "paper_literal":
             out = _literal(p.a, p.t, x, xp)
+        else:
+            log_k = (_log_mehler if variant == "mehler" else _log_corrected)(p.a, p.t, x, xp)
+            if np.any(np.isnan(log_k)):
+                # far from the origin the printed exponent can read inf - inf;
+                # the same exponent as c0 + cl x^2 + cr x'^2 - (B/2)(x - x')^2
+                # adds terms that are never positive here (cl, cr <= 0, B > 0)
+                c0, cl, cr, B = _exponent_coefficients(variant, p.a, p.t)
+                d = x - xp
+                log_k = np.where(np.isnan(log_k),
+                                 c0 + cl * x * x + cr * xp * xp - 0.5 * B * d * d, log_k)
+            out = np.exp(log_k)
     return float(out) if out.ndim == 0 else out
 
 

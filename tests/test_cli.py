@@ -587,6 +587,44 @@ def test_grushin_dump_far_out_at_a_tiny_time_is_refused_by_name(tmp_path, dy, me
     assert (rc, err, caught) == (1, f"oscwave: {message}\n", [])
 
 
+@pytest.mark.parametrize("variant", ["mehler", "paper_corrected"])
+def test_kernel_dump_far_from_the_origin_writes_its_true_zeros(tmp_path, variant):
+    """inf - inf in the printed exponent made this dump exit 1 with a false
+    overflow message, after a RuntimeWarning."""
+    t = "0.5" if variant == "mehler" else "1e-300"
+    dst = tmp_path / "k.csv"
+    rc, err, caught = _run_quietly(["kernel", "--variant", variant, "--a", "1", "--t", t,
+                                    "--grid", "-1e200,1e200,8", "--output", str(dst)])
+    assert (rc, err, caught) == (0, "", [])
+    values = np.loadtxt(dst, delimiter=",", skiprows=1)[:, 2].reshape(8, 8)
+    # the grid's fifth point is 0
+    assert values[4, 4] == heat_kernel(variant, OscillatorParams(1.0, float(t)), 0.0, 0.0)
+    values[4, 4] = 0.0
+    assert np.all(values == 0.0)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["heat-dirac", "--t", "1e308"], "shift t = 1e+308 overflows the phase xi*t on this grid"),
+    (["wave-dirac", "--route", "oracle", "--t", "1e308"],
+     "t*sqrt(R/2) = inf exceeds 25; the multiplier would amplify the band edge past 1e10")],
+    ids=["heat-dirac", "wave-dirac-oracle"])
+def test_dirac_flows_at_a_huge_time_are_refused_by_name(oscillator_csv, tmp_path, argv, message):
+    """The shift's phase xi t overflowed, and the run blamed the data
+    ("sampled values must be finite"); the oracle's growth t sqrt(R/2)
+    overflowed before its refusal."""
+    rc, err, caught = _run_quietly([*argv, "--input", str(oscillator_csv),
+                                    "--output", str(tmp_path / "out.csv")])
+    assert (rc, err) == (1, f"oscwave: {message}\n")
+    assert not any("overflow" in w for w in caught)
+
+
+def test_grid_whose_span_overflows_is_refused_by_name(tmp_path):
+    rc, err, caught = _run_quietly(["kernel", "--a", "1", "--t", "1", "--grid", "-1e308,1e308,8",
+                                    "--output", str(tmp_path / "k.csv")])
+    assert (rc, err, caught) == (1, "oscwave: the span of [-1e+308, 1e+308] leaves the double "
+                                    "range\n", [])
+
+
 @pytest.mark.parametrize("command, a, t, message", [
     ("wave-ho", "1e-316", "1", "coupling a = 1e-316 is too small"),
     ("heat-ho --route intertwine", "1e-316", "1", "coupling a = 1e-316 is too small"),
@@ -627,18 +665,71 @@ _POSITIVE = st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True),
 def test_oscillator_routes_exit_cleanly_over_the_double_range(oscillator_csv, command, a, t):
     """Each call writes finite output (exit 0) or names its refusal on one
     line (exit 1); a numpy RuntimeWarning is an error."""
+    _assert_exits_cleanly([*command.split(), "--a", repr(a), "--t", repr(t),
+                           "--input", str(oscillator_csv)], rows=512)
+
+
+def _assert_exits_cleanly(argv, rows):
+    """main(argv) writes `rows` finite CSV rows (exit 0) or names its refusal
+    on one line (exit 1), with numpy RuntimeWarnings raised as errors."""
     with tempfile.TemporaryDirectory() as tmp:
         dst = Path(tmp) / "out.csv"
         err = io.StringIO()
         with warnings.catch_warnings(record=True), redirect_stderr(err):
             warnings.simplefilter("always")
             warnings.simplefilter("error", RuntimeWarning)
-            rc = main([*command.split(), "--a", repr(a), "--t", repr(t),
-                       "--input", str(oscillator_csv), "--output", str(dst)])
+            rc = main([*argv, "--output", str(dst)])
         err = err.getvalue()
         if rc == 0:
             values = np.loadtxt(dst, delimiter=",", skiprows=1)
-            assert values.shape == (512, 3) and np.all(np.isfinite(values))
+            assert values.shape == (rows, 3) and np.all(np.isfinite(values)), argv
         else:
-            assert rc == 1
-            assert err.startswith("oscwave: ") and err.count("\n") == 1, err
+            assert rc == 1, argv
+            assert err.startswith("oscwave: ") and err.count("\n") == 1, (argv, err)
+
+
+# every finite double of either sign, zero included, log-uniformly in size
+_SIGNED = st.one_of(st.just(0.0), _POSITIVE, _POSITIVE.map(lambda v: -v))
+
+_DUMPS_AND_DIRAC_FLOWS = (
+    "kernel --variant mehler", "kernel --variant paper_literal",
+    "kernel --variant paper_corrected", "grushin-heat", "heat-dirac",
+    "wave-dirac --route direct", "wave-dirac --route oracle")
+
+
+@settings(max_examples=150)
+@given(command=st.sampled_from(_DUMPS_AND_DIRAC_FLOWS), a=_POSITIVE,
+       t=st.one_of(st.just(0.0), _POSITIVE), lo=_SIGNED, hi=_SIGNED,
+       n=st.integers(8, 16), dy=_SIGNED)
+# faults this property pins: inf - inf in the Mehler and corrected
+# exponents far from the origin, the shift's phase xi t and the oracle's
+# growth t sqrt(R/2) at a huge t, sin(w)/w at a subnormal t, the Grushin
+# cutoff search before its alias guard, a grid span past the double range
+# and the Grushin alias bound at a huge t
+@example(command="kernel --variant mehler", a=1.0, t=0.5, lo=-1e200, hi=1e200, n=8, dy=0.0)
+@example(command="kernel --variant paper_literal", a=1.0, t=0.5, lo=-1e200, hi=1e200, n=8,
+         dy=0.0)
+@example(command="kernel --variant paper_corrected", a=1.0, t=1e-300, lo=-1e200, hi=1e200,
+         n=8, dy=0.0)
+@example(command="heat-dirac", a=1.0, t=1e308, lo=0.0, hi=1.0, n=8, dy=0.0)
+@example(command="wave-dirac --route oracle", a=1.0, t=1e308, lo=0.0, hi=1.0, n=8, dy=0.0)
+@example(command="wave-dirac --route oracle", a=1.0, t=1.8707653374e-313, lo=0.0, hi=1.0,
+         n=8, dy=0.0)
+@example(command="grushin-heat", a=1.0, t=1.4704723134816784e-274,
+         lo=-2.592100298055869e+71, hi=2.592100298055869e+71, n=11, dy=1902692121.2080727)
+@example(command="kernel --variant mehler", a=1.0, t=1.0, lo=-1e308, hi=1e308, n=8, dy=0.0)
+@example(command="grushin-heat", a=1.0, t=3.410869852487107e+306, lo=0.0,
+         hi=1.4237698195300295e+218, n=13, dy=-3.04389294e-316)
+def test_dumps_and_dirac_flows_exit_cleanly_over_the_double_range(
+        oscillator_csv, command, a, t, lo, hi, n, dy):
+    """The matrix dumps and the first-order flows, with every numeric
+    argument drawn over the doubles, under the property above."""
+    argv = command.split() + ["--t", repr(t)]
+    grid = ["--grid", f"{lo!r},{hi!r},{n}"]
+    if command.startswith("kernel"):
+        argv += ["--a", repr(a), *grid]
+    elif command == "grushin-heat":
+        argv += [*grid, "--dy", repr(dy)]
+    else:
+        argv += ["--input", str(oscillator_csv)]
+    _assert_exits_cleanly(argv, rows=512 if "dirac" in command else n * n)

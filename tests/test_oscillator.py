@@ -213,6 +213,31 @@ def test_mehler_keeps_its_digits_far_from_the_origin():
     assert np.max(np.abs(k - ref) / ref) <= 1e-14
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("variant", ["mehler", "paper_corrected"])
+def test_kernels_far_out_read_their_true_values_where_the_printed_exponent_is_nan(variant):
+    """On a grid reaching 1e200 the printed exponents read inf - inf; the
+    kernel is 0 there but at x = x' = 0 (a = 1, t = 0.5).  At a = 1e-160,
+    t = 1e-140 the corrected exponent -a (x - x' r)^2/(1 - r^2)
+    + (a/2)(x^2 - x'^2) reads nan at x = x' = 1e200, where the kernel is
+    about (4 pi t)^{-1/2} = 2.8e69; both variants give it."""
+    x = np.linspace(-1e200, 1e200, 9)
+    k = heat_kernel(variant, OscillatorParams(1.0, 0.5), x[:, None], x[None, :])
+    origin = heat_kernel(variant, OscillatorParams(1.0, 0.5), 0.0, 0.0)
+    assert k[4, 4] == origin > 0
+    k[4, 4] = 0.0
+    assert np.all(k == 0.0)
+    mp = pytest.importorskip("mpmath")
+    a, t = mp.mpf(1e-160), mp.mpf(1e-140)
+    with mp.workdps(40):
+        # exp(-a x^2 (1-r)^2/(1-r^2)) with r = e^{-2at}, from expm1
+        ref = float(mp.sqrt(a / mp.pi) * mp.exp(-a * t) / mp.sqrt(-mp.expm1(-4 * a * t))
+                    * mp.exp(-a * (mp.mpf(1e200) * mp.expm1(-2 * a * t)) ** 2
+                             / -mp.expm1(-4 * a * t)))
+    k = heat_kernel(variant, OscillatorParams(1e-160, 1e-140), 1e200, 1e200)
+    assert k == pytest.approx(ref, rel=1e-13)
+
+
 def test_mode_sum_reproduces_the_kernel():
     """Truncated eigenfunction sum against the closed form; 50 modes at
     at = 0.3 leave a remainder below machine noise on [-3, 3]."""

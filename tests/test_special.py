@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from oscwave import erfc_paper, tricomi_u, tricomi_u_deriv
+from oscwave import special
 from oscwave.special import U_SERIES_CUTOFF, tricomi_u_small_z
 
 SQRT_PI = np.sqrt(np.pi)
@@ -87,11 +88,10 @@ def test_u_against_mpmath():
 def test_u_accuracy_over_the_downstream_families(a, c, z_min):
     """One z per decade from z_min to 100, plus a few z in [1, 100].
 
-    Measured relative error on these z: at most 6.7e-14 where the integral
-    is used (4.7e-14 for (1, 1), 3.2e-14 for (0.99, 0.99), whose 900 fixed
-    nodes gave 9.9e-9 and 8.4e-11 near 1e-290), and below 1.0 z + 1e-15
-    where the small-z form replaces it (its error is O(z)), so the bounds
-    are 1e-13 and 2 z + 1e-15.
+    Measured relative error on these z: at most 2.8e-15 where the integral
+    is used (1.0e-15, 3.8e-16, 2.8e-15, 5.5e-16 and 6.9e-16 in the order of
+    the cases), and below 1.0 z + 1e-15 where the small-z form replaces it
+    (its error is O(z)), so the bounds are 1e-13 and 2 z + 1e-15.
     """
     mp = pytest.importorskip("mpmath")
     zs = np.concatenate([10.0 ** np.arange(np.log10(z_min), 2.5),
@@ -102,6 +102,21 @@ def test_u_accuracy_over_the_downstream_families(a, c, z_min):
     small = (zs < U_SERIES_CUTOFF) & (c > 1.0)
     assert np.all(err[~small] <= 1e-13)
     assert np.all(err[small] <= 2.0 * zs[small] + 1e-15)
+
+
+@pytest.mark.parametrize("a, c", [
+    (1.0, 1.5), (0.5, 0.5), (2.0, 2.5), (1.0, 1.0), (0.99, 0.99)])
+def test_u_integral_is_within_1e_14_of_mpmath(a, c):
+    """Four z per decade over [1e-12, 300], where the integral serves
+    every family.  Measured worst relative error: 9.7e-16, 6.3e-16,
+    2.6e-15, 1.5e-15 and 4.4e-16 in the order of the cases; a fixed
+    900-node rule whose step was a difference of two nodes read 4.6e-14
+    to 6.6e-14."""
+    mp = pytest.importorskip("mpmath")
+    zs = np.append(10.0 ** np.arange(-12.0, 2.4, 0.25), 300.0)
+    got = tricomi_u(a, c, zs)
+    ref = np.array([float(mp.hyperu(a, c, z)) for z in zs])
+    assert np.max(np.abs(got - ref) / ref) <= 1e-14
 
 
 @pytest.mark.parametrize("z", [0.25, 0.5, 1.0, 2.0, 3.0])
@@ -158,25 +173,46 @@ def test_u_at_the_smallest_double_warns_nothing():
     assert u == pytest.approx(SQRT_PI, rel=1e-14)
 
 
-@pytest.mark.parametrize("z", [1e-310, 1e-320])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("z", [1e-310, 1e-320, 5e-324])
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
 def test_u_near_c_one_below_the_node_floor_is_right_or_refused(a, z):
+    """Near c = 1 the integrand stays O(1) up to v ~ -ln z and decays only
+    through e^{-z e^v} (c = 1) or e^{(c-1) v}: the node range reaches
+    v = ln(60/z) at every positive double, and the step halves until the
+    sum has converged.  Measured relative error at c = 1 and 0.99: at most
+    3.2e-16, but 2.2e-14 at (2, 0.99), where a v + (c-a-1) ln(1+e^v)
+    cancels."""
     sp = pytest.importorskip("scipy.special")
-    # c = 0.95: the floored node range still reaches e^{-34.7} of the tail
+    mp = pytest.importorskip("mpmath")
     assert tricomi_u(a, 0.95, z) == pytest.approx(sp.hyperu(a, 0.95, z), rel=1e-10)
-    # c = 1 decays only through e^{-z e^v}; c = 0.99 like e^{-0.01 v}
     for c in (1.0, 0.99):
-        with pytest.raises(ValueError, match="not supported"):
-            tricomi_u(a, c, z)
-        with pytest.raises(ValueError, match="not supported"):
-            tricomi_u(a, c, np.array([1.0, z]))
+        ref = float(mp.hyperu(a, c, z))
+        assert tricomi_u(a, c, z) == pytest.approx(ref, rel=1e-13)
+        assert tricomi_u(a, c, np.array([1.0, z]))[1] == tricomi_u(a, c, z)
 
 
 def test_u_values_next_to_the_refused_range_are_unchanged():
-    assert tricomi_u(0.5, 0.5, 5e-324) == 1.772453850905574
+    # U(1/2, 1/2, 0) = sqrt(pi); the smallest double is within 2 ulp of it
+    u = tricomi_u(0.5, 0.5, 5e-324)
+    assert u == 1.772453850905516
+    assert abs(u - SQRT_PI) <= 2.0 * np.spacing(SQRT_PI)
     assert tricomi_u(0.5, 1.5, 1e-13) == 3162277.660168379
-    # just above the floor c = 1 is still integrated
     assert np.isfinite(tricomi_u(1.0, 1.0, 1e-290))
+
+
+def test_u_is_the_same_whatever_the_table_bound(monkeypatch):
+    """Each z stops halving on its own and its rows sum in numpy's pairwise
+    order, so a table bound that splits every level into blocks of a few
+    rows, but still holds each z's last row of midpoints, gives the same
+    bits."""
+    zs = np.concatenate([10.0 ** np.arange(-320.0, 2.5), [1e-12, 0.5, 77.7]])
+    for a, c in ((0.5, 0.5), (1.0, 1.0), (0.99, 0.99), (2.0, 0.95)):
+        wide = tricomi_u(a, c, zs)
+        monkeypatch.setattr(special, "_U_BLOCK", 3000)
+        narrow = tricomi_u(a, c, zs)
+        monkeypatch.undo()
+        assert np.array_equal(wide, narrow)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
