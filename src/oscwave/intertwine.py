@@ -15,17 +15,34 @@ Numerical plan, chosen to survive the weight's super-exponential growth:
 * The damped spectrum is evaluated by exact phase sums at the exponentially
   spaced frequencies, never by interpolating FFT output near the spectral
   edge, where the weight ratio between neighboring samples can reach e^9.
-  The x grid is uniform, so e^{-i xi x_j} with x_j = x0 + h(mJ + r),
-  m ~ sqrt(n), factors into an offset e^{-i xi x0}, an N x n/m table in J
-  and an N x m table in r (_phase_tables).  Each direction is then one
-  dense matrix product over N 2 sqrt(n) exponentials instead of N n: the
-  separable, exact counterpart of a nonuniform FFT, with no spreading
-  kernel and no tolerance floor.  The window (IntertwineParams) builds its
-  tables once, so forward and inverse share them, and one set serves both
-  signs of xi through conjugation.  The conjugated heat flow reads the
-  spectrum at the contracted nodes e^{-2a(X + t)}; with the X step
-  aligned to t these are rows of the same set, so a heat call builds one
-  set too (_transport_rows).
+  The sums split by frequency, with R = h(n-1)/2 the x grid's half-width
+  (_phase_tables):
+  - rows with |xi| R > _RHO = 0.1: the x grid is uniform, so e^{-i xi x_j}
+    with x_j = x0 + h(mJ + r), m ~ sqrt(n), factors into an offset
+    e^{-i xi x0}, a table in J (n/m columns) and a table in r (m columns).
+    Each direction is then one dense matrix product over 2 sqrt(n)
+    exponentials a row instead of n: the separable, exact counterpart of
+    a nonuniform FFT, with no spreading kernel and no tolerance floor.
+  - rows with |xi| R <= _RHO: with x_c the grid centre and u_j =
+    (x_j - x_c)/R in [-1, 1], e^{-i xi x_j} = e^{-i xi x_c}
+    sum_{p<P} (-i xi R)^p/p! u_j^p, short of at most _RHO^P/P!; P is the
+    first term count that puts this under an eighth of a rounding (P = 11,
+    2.5e-19).  The terms sum to at most e^{_RHO} in size, so nothing
+    cancels.  A forward sum is then one n x P moment product, shared by
+    all these rows, and one (rows x P) @ (P x 2) product; an inverse is
+    the same two products in the other order.  derive_params runs X to
+    where xi = e^{-37}, so on the CLI's windows about 81% of the rows are
+    of this kind and need no trig table.
+  Against a long-double direct sum, xi from 0.95 Nyquist to e^{-37} on
+  [-12, 12) (n = 512), [20.5, 61.3) (2048) and [-37.3, 41.9) (4099),
+  complex data: per row within 3.8e-17 h/sqrt(2pi) sum|v| forward
+  (either kind of row) and 5.9e-17 sum|c| inverse, where one table kind
+  for all rows measured 3.8e-17 and 7.6e-17.  The window
+  (IntertwineParams) builds its tables once, so forward and inverse share
+  them, and one set serves both signs of xi through conjugation.  The
+  conjugated heat flow reads the spectrum at the contracted nodes
+  e^{-2a(X + t)}; with the X step aligned to t these are rows of the same
+  set, so a heat call builds one set too (_transport_rows).
 * The inverse de-weights pointwise (exact) and integrates the substitution
   form (1/sqrt(2pi)) integral 2a xi G(+-xi(X)) e^{+-i xi x} dX by the
   trapezoid rule in X.  The integrand decays at both ends (spectral tail on
@@ -43,8 +60,10 @@ Numerical plan, chosen to survive the weight's super-exponential growth:
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import functools
+import itertools
 import math
 import warnings
 
@@ -87,14 +106,17 @@ RESIDUAL_TOL = 1.0e-5
 # arguments run to thousands of rad, so rounding one to double costs ~1e-12
 # in its entry; with such arguments c11's informational
 # oscillator_wave_vs_oracle_t0.1 reads 7.3 instead of 0.41.  So the tables
-# are built in plain double from exact products, on every platform:
+# are built in plain double from exact products, on every platform, and
+# only for the rows with |xi| R > _RHO (the rest expand in moments; see
+# the module docstring):
 # * Step angles.  Each row's steps xi x0, xi h m and xi h are exact Dekker
 #   products (_two_prod; h m is one too), times a two-double 1/2pi, reduced
 #   mod one turn to a 64-bit fixed-point fraction (_turns).  An entry's
 #   angle is then an exact uint64 product, row step times column index,
 #   whose wrap-around mod 2^64 is exact reduction mod 2pi.  The coarse step
 #   is reduced from xi h m itself: m times the fine step in uint64 would
-#   multiply the fine step's rounding by up to n.
+#   multiply the fine step's rounding by up to n.  A low row's centre
+#   phase e^{-i xi x_c} takes the offset's path with x_c for x0.
 # * Entry angles.  Each entry's int64 turn count times a two-double 2pi/2^64
 #   is formed exactly and rounded once to radians (_unit_phase), in blocks
 #   of rows that stay in cache; the real cos and sin follow.
@@ -123,6 +145,10 @@ RESIDUAL_TOL = 1.0e-5
 # n = 2048 set.  The sums are accumulated in double by BLAS: summing the
 # same tables' terms in long double measured no better on the three tuned
 # round trips.
+
+# rows whose |xi| R (R the x grid's half-width) is at most this sum through
+# a short moment expansion instead of trig tables
+_RHO = 0.1
 
 # 1/2pi and 2pi/2^64 (the radians of one fixed-point unit of a turn), each
 # an unevaluated sum of two doubles
@@ -169,24 +195,70 @@ def _unit_phase(turns):
     return out
 
 
+class _Tables(NamedTuple):
+    """A phase-table set: the factored tables for the rows of xi with
+    |xi| R > _RHO (high) and the moment expansion for the rest (low)."""
+
+    high: np.ndarray    # row indices into xi, increasing
+    offset: np.ndarray  # e^{-i xi x0} per high row
+    coarse: np.ndarray  # e^{-i xi h m J}, high rows x ceil(n/m)
+    fine: np.ndarray    # e^{-i xi h r}, high rows x m
+    low: np.ndarray     # row indices into xi, increasing
+    centre: np.ndarray  # e^{-i xi x_c} per low row
+    taylor: np.ndarray  # (-i xi R)^p / p!, low rows x P
+    powers: np.ndarray  # u_j^p, n x P, the same for every row
+
+    def rows(self, start, stop):
+        """Rows [start, stop) of xi, as a set of their own."""
+        i, j = np.searchsorted(self.high, (start, stop))
+        k, l = np.searchsorted(self.low, (start, stop))
+        return _Tables(self.high[i:j] - start, self.offset[i:j], self.coarse[i:j],
+                       self.fine[i:j], self.low[k:l] - start, self.centre[k:l],
+                       self.taylor[k:l], self.powers)
+
+
 def _phase_tables(xi, grid):
     """Factors of e^{-i xi_k x_j} over the uniform grid x_j = x0 + j h.
 
-    With m = ceil(sqrt(n)) and j = m J + r (0 <= r < m), the phase is
-    offset[k] * coarse[k, J] * fine[k, r], where offset = e^{-i xi x0}
-    (N), coarse = e^{-i xi h m J} (N x ceil(n/m)) and fine = e^{-i xi h r}
-    (N x m).  The last J row may run past the n samples; callers pad it.
+    High rows, |xi| R > _RHO with R = h(n-1)/2: with m = ceil(sqrt(n)) and
+    j = m J + r (0 <= r < m), the phase is offset[k] * coarse[k, J] *
+    fine[k, r], where offset = e^{-i xi x0}, coarse = e^{-i xi h m J}
+    (ceil(n/m) columns) and fine = e^{-i xi h r} (m columns).  The last J
+    row may run past the n samples; callers pad it.  Low rows: with x_c
+    the grid centre and u_j = (x_j - x_c)/R in [-1, 1], the phase is
+    centre[k] * sum_p taylor[k, p] powers[j, p], centre = e^{-i xi x_c}.
     """
     n, h = grid.n, grid.spacing
     m = math.isqrt(n - 1) + 1
-    # the row steps xi x0, xi h m and xi h as exact products
+    # x_c + c_err = x0 + R exactly, so x_j - x_c = h (j - (n-1)/2) + c_err
+    # but for R's own rounding, which moves a low row's phase by at most
+    # _RHO 2^-53
+    R = h * (0.5 * (n - 1))
+    x_c = grid.x_min + R
+    c_err = math.fsum((grid.x_min, R, -x_c))
+    low = np.abs(xi) * R <= _RHO
+    high, low = np.flatnonzero(~low), np.flatnonzero(low)
+    # the row steps xi x0, xi h m and xi h, and the low rows' xi x_c, as
+    # exact products
     hm, hm_err = _two_prod(h, float(m))
-    hi, lo = _two_prod(xi, np.array([[grid.x_min], [hm], [h]]))
-    lo[1] += xi * hm_err
+    hi, lo = _two_prod(xi[high], np.array([[grid.x_min], [hm], [h]]))
+    lo[1] += xi[high] * hm_err
     offset, coarse, fine = _turns(hi, lo)
-    return (_unit_phase(offset),
-            _unit_phase(np.multiply.outer(coarse, np.arange(-(-n // m), dtype=np.uint64))),
-            _unit_phase(np.multiply.outer(fine, np.arange(m, dtype=np.uint64))))
+    centre = _turns(*_two_prod(xi[low], x_c))
+    # P terms leave at most _RHO^P / P! (the first omitted term bounds the
+    # rest), which must fall under an eighth of a rounding
+    P = next(p for p in itertools.count(1) if _RHO**p / math.factorial(p) < 2.0**-56)
+    u = (h * (np.arange(n) - 0.5 * (n - 1)) + c_err) / R
+    # (xi R)^p / p! by running products, times (-i)^p, which is exact
+    steps = np.outer(xi[low] * R, 1.0 / np.arange(1, P))
+    taylor = np.cumprod(np.hstack([np.ones((low.size, 1)), steps]), axis=1)
+    return _Tables(
+        high, _unit_phase(offset),
+        _unit_phase(np.multiply.outer(coarse, np.arange(-(-n // m), dtype=np.uint64))),
+        _unit_phase(np.multiply.outer(fine, np.arange(m, dtype=np.uint64))),
+        low, _unit_phase(centre),
+        taylor * np.array([1.0, -1j, -1.0, 1j])[np.arange(P) % 4],
+        np.vander(u, P, increasing=True))
 
 
 @dataclass(frozen=True)
@@ -260,14 +332,20 @@ def _phase_sums(values, x_grid, xi_targets, tables):
     """(h/sqrt(2pi)) sum_j values_j e^{-i x_j xi} at xi = +xi_targets and
     at xi = -xi_targets, returned in that order; tables are
     _phase_tables(xi_targets, x_grid)."""
-    offset, coarse, fine = tables
-    rows, m = coarse.shape[1], fine.shape[1]
+    t = tables
+    rows, m = t.coarse.shape[1], t.fine.shape[1]
     M = np.pad(values, (0, rows * m - x_grid.n)).reshape(rows, m)
     # the -xi sum is the conjugate of the +xi sum of conj(values), so one
     # product over the shared tables yields both
-    inner = fine @ np.hstack([M.T, M.T.conj()])
-    g_plus = offset * np.sum(coarse * inner[:, :rows], axis=1)
-    g_minus = np.conj(offset * np.sum(coarse * inner[:, rows:], axis=1))
+    inner = t.fine @ np.hstack([M.T, M.T.conj()])
+    # low rows: the moments sum_j values_j u_j^p, then one product
+    low = t.taylor @ (t.powers.T @ np.column_stack([values, np.conj(values)]))
+    g_plus = np.empty(len(xi_targets), dtype=complex)
+    g_minus = np.empty(len(xi_targets), dtype=complex)
+    g_plus[t.high] = t.offset * np.sum(t.coarse * inner[:, :rows], axis=1)
+    g_minus[t.high] = np.conj(t.offset * np.sum(t.coarse * inner[:, rows:], axis=1))
+    g_plus[t.low] = t.centre * low[:, 0]
+    g_minus[t.low] = np.conj(t.centre * low[:, 1])
     scale = x_grid.spacing / SQRT_2PI
     return g_plus * scale, g_minus * scale
 
@@ -275,13 +353,18 @@ def _phase_sums(values, x_grid, xi_targets, tables):
 def _inverse_phase_sums(x_grid, xi, c_plus, c_minus, tables):
     """sum_k c_plus_k e^{+i xi_k x_j} + c_minus_k e^{-i xi_k x_j} per x_j;
     tables are _phase_tables(xi, x_grid)."""
-    offset, coarse, fine = tables
-    m = fine.shape[1]
+    t = tables
+    m = t.fine.shape[1]
     # the +i sum is the conjugate of the -i sum of conj(c_plus)
-    scaled = np.hstack([(np.conj(c_plus) * offset)[:, None] * fine,
-                        (c_minus * offset)[:, None] * fine])
-    both = coarse.T @ scaled
-    return (np.conj(both[:, :m]) + both[:, m:]).ravel()[: x_grid.n]
+    c_plus = np.conj(c_plus)
+    scaled = np.hstack([(c_plus[t.high] * t.offset)[:, None] * t.fine,
+                        (c_minus[t.high] * t.offset)[:, None] * t.fine])
+    both = t.coarse.T @ scaled
+    # low rows: P coefficients per sign, then one product with the powers
+    low = t.powers @ (t.taylor.T @ np.column_stack([c_plus[t.low] * t.centre,
+                                                      c_minus[t.low] * t.centre]))
+    return ((np.conj(both[:, :m]) + both[:, m:]).ravel()[: x_grid.n]
+            + (np.conj(low[:, 0]) + low[:, 1]))
 
 
 def _damped(phi, a):
@@ -381,9 +464,8 @@ def _transport_rows(p, t):
     tables = _phase_tables(xi, p.x_grid)
     # rows [0, n) are the window's xi_nodes bit for bit: prime its cached
     # tables with them
-    window.__dict__["phase_tables"] = tuple(tab[:n] for tab in tables)
-    return window, xi[offset:offset + n], tuple(
-        tab[offset:offset + n] for tab in tables)
+    window.__dict__["phase_tables"] = tables.rows(0, n)
+    return window, xi[offset:offset + n], tables.rows(offset, offset + n)
 
 
 def branch_spectra(b, p):

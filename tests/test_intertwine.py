@@ -9,6 +9,7 @@ from oscwave import (
     BranchPair,
     IntertwineParams,
     SampledFunction,
+    SpectralCoefficients,
     apply_T,
     apply_T_inverse,
     branch_spectra,
@@ -19,13 +20,14 @@ from oscwave import (
     inverse_ft,
     make_grid,
     oscillator_apply,
+    reconstruct,
     rel_l2_error,
     weight,
 )
 from oscwave.fourier import EdgeDecayWarning, SpectralFunction
-from oscwave.intertwine import (_INV_2PI, _RAD_PER_UNIT, _branch_transform, _centered_d,
-                                _damped, _inverse_phase_sums, _phase_sums, _phase_tables,
-                                _two_prod)
+from oscwave.intertwine import (_INV_2PI, _RAD_PER_UNIT, _RHO, _branch_transform,
+                                _centered_d, _damped, _inverse_phase_sums, _phase_sums,
+                                _phase_tables, _two_prod)
 
 GRID = make_grid(-12.0, 12.0, 2048)
 X = GRID.points
@@ -150,7 +152,8 @@ def test_phase_table_entries_match_mpmath(lo, hi, n):
     rng = np.random.default_rng(n)
     g = make_grid(lo, hi, n)
     xi = np.sort(rng.uniform(1e-3, 0.95, 257)) * np.pi / g.spacing
-    offset, coarse, fine = _phase_tables(xi, g)
+    tables = _phase_tables(xi, g)
+    xi, offset, coarse, fine = xi[tables.high], tables.offset, tables.coarse, tables.fine
     m = fine.shape[1]
     h, x0 = mp.mpf(g.spacing), mp.mpf(g.x_min)
     steps = {"offset": lambda c: x0, "coarse": lambda c: h * m * c, "fine": lambda c: h * c}
@@ -160,6 +163,86 @@ def test_phase_table_entries_match_mpmath(lo, hi, n):
         want = np.array([complex(mp.expj(-mp.mpf(xi[k]) * steps[name](int(c))))
                          for k, c in zip(rows, cols)])
         assert np.max(np.abs(table[rows, cols] - want)) <= 8e-16, name
+
+
+@pytest.mark.parametrize("lo, hi, n", [
+    pytest.param(-3.3, 5.1, 500, id="straddling_zero"),
+    pytest.param(20.5, 61.3, 2048, id="positive_x0"),
+    pytest.param(1000.3, 1001.1, 64, id="far_from_zero")])
+def test_low_and_high_rows_match_a_long_double_direct_sum(lo, hi, n):
+    """Forward and inverse sums with xi from 0.95 of the Nyquist frequency
+    down to e^{-37}, in shuffled order, against every term e^{-i xi x}
+    formed in long double from e^{-i xi x0} in mpmath.  Rows with
+    |xi| R <= _RHO (R the half-width) sum through the moment expansion,
+    the rest through the factored tables; two added rows sit on the
+    boundary, |xi| R == _RHO (low) and one ulp above it (high).  On the
+    last grid the centre lies 2500 half-widths from 0, so a rounding of
+    x_c left in the low rows shows.  The data are complex.  Each row is
+    held to a rounding of its terms' size: forward within 1e-16
+    h/sqrt(2pi) sum|v|, inverse within 2e-16 sum|c|.
+    """
+    mp = pytest.importorskip("mpmath")
+    mp.mp.prec = 150
+    rng = np.random.default_rng(n)
+    g = make_grid(lo, hi, n)
+    R = g.spacing * (0.5 * (n - 1))
+    edge = _RHO / R
+    while edge * R > _RHO:
+        edge = np.nextafter(edge, 0.0)
+    while np.nextafter(edge, 1.0) * R <= _RHO:
+        edge = np.nextafter(edge, 1.0)
+    xi = np.concatenate([np.geomspace(0.95 * np.pi / g.spacing, np.exp(-37.0), 400),
+                         [edge, np.nextafter(edge, 1.0)]])
+    xi = rng.permutation(xi)
+    tables = _phase_tables(xi, g)
+    low = np.zeros(xi.size, dtype=bool)
+    low[tables.low] = True
+    assert np.array_equal(low, np.abs(xi) * R <= _RHO)
+    assert 0 < tables.high.size < tables.low.size
+    assert low[xi == edge] and not low[xi == np.nextafter(edge, 1.0)]
+
+    ld = np.longdouble
+    offset = [mp.expj(-mp.mpf(k) * mp.mpf(g.x_min)) for k in xi]
+    off_re = np.array([ld(mp.nstr(z.real, 30)) for z in offset])
+    off_im = np.array([ld(mp.nstr(z.imag, 30)) for z in offset])
+    theta = np.multiply.outer(xi.astype(ld), ld(g.spacing) * np.arange(n))
+    cos = off_re[:, None] * np.cos(theta) + off_im[:, None] * np.sin(theta)
+    sin = off_re[:, None] * np.sin(theta) - off_im[:, None] * np.cos(theta)
+
+    def direct(vals, sign):
+        # sum_j vals_j e^{-i sign xi x_j} over the rows, in long double
+        re, im = vals.real.astype(ld), vals.imag.astype(ld)
+        return ((cos @ re + sign * (sin @ im))
+                + 1j * (cos @ im - sign * (sin @ re))).astype(complex)
+
+    values = rng.normal(size=n) + 1j * rng.normal(size=n)
+    scale = g.spacing / np.sqrt(2.0 * np.pi)
+    g_plus, g_minus = _phase_sums(values, g, xi, tables)
+    bound = 1e-16 * scale * np.sum(np.abs(values))
+    assert np.all(np.abs(g_plus - scale * direct(values, 1.0)) <= bound)
+    assert np.all(np.abs(g_minus - scale * direct(values, -1.0)) <= bound)
+
+    c = rng.normal(size=xi.size) + 1j * rng.normal(size=xi.size)
+    zero = np.zeros(xi.size, dtype=complex)
+    cos, sin = cos.T, sin.T
+    bound = 2e-16 * np.sum(np.abs(c))
+    assert np.all(np.abs(_inverse_phase_sums(g, xi, c, zero, tables) - direct(c, -1.0)) <= bound)
+    assert np.all(np.abs(_inverse_phase_sums(g, xi, zero, c, tables) - direct(c, 1.0)) <= bound)
+
+
+def test_derived_windows_build_trig_tables_for_a_fifth_of_their_rows():
+    """On c05's data (a = 1, [-12, 12), 2048 samples) derive_params runs X
+    to 18.5/a, where xi = e^{-37}; 81% of its rows have |xi| R <= _RHO and
+    need no trig table.  The tables hold at most a quarter of the
+    N (ceil(n/m) + m) entries every row once needed (measured 0.20)."""
+    g = make_grid(-12.0, 12.0, 2048)
+    f0 = reconstruct(SpectralCoefficients(1.0, np.random.default_rng(5).standard_normal(8)), g)
+    p = derive_params(1.0, g, f0)
+    tables = p.phase_tables
+    N, m = p.X_grid.n, tables.fine.shape[1]
+    entries = sum(getattr(tables, k).size for k in ("offset", "coarse", "fine", "centre"))
+    assert entries <= 0.25 * N * (-(-g.n // m) + m)
+    assert tables.taylor.shape[0] + tables.offset.size == N
 
 
 def test_two_prod_is_exact():
