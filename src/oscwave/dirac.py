@@ -56,7 +56,11 @@ def heat_dirac(U0, t):
     if not math.isfinite(float(np.max(np.abs(xi))) * float(t)):
         raise ValueError(f"shift t = {t:g} overflows the phase xi*t on this grid")
     _warn_if_wrapping(U0, t)
-    shifted = SpectralFunction(F.xi_grid, F.values * np.exp(1j * xi * t), F.x_grid)
+    # e^{i xi t} is periodic in t with the period n h that the frequency
+    # grid implies, and xi t rounds at its own scale: reduce t first (fmod
+    # is exact, and t < n h stays as it is)
+    shift = math.fmod(t, U0.grid.n * U0.grid.spacing)
+    shifted = SpectralFunction(F.xi_grid, F.values * np.exp(1j * xi * shift), F.x_grid)
     return inverse_ft(shifted)
 
 

@@ -62,6 +62,19 @@ def test_heat_warns_when_data_wraps():
     assert any(issubclass(r.category, ShiftCoverageWarning) for r in rec)
 
 
+@pytest.mark.parametrize("t", [1.0e6 + 0.7, 1.0e12 + 0.7, 1.0e16])
+def test_heat_keeps_the_digits_of_a_large_shift(t):
+    """The periodized Gaussian translated by t equals its translate by
+    fmod(t, L), L = 32 the grid's period.  Formed as xi t, the phase rounded
+    at the scale of xi t and the shift lost its digits: 2.3e-9, 2.3e-3 and
+    0.77 at these t.  The data wraps many times, and that still warns."""
+    x = GRID.points
+    with pytest.warns(ShiftCoverageWarning):
+        U = heat_dirac(GAUSS, t)
+    want = np.exp(-((x + np.fmod(t, 32.0) + 16.0) % 32.0 - 16.0) ** 2)
+    assert np.max(np.abs(U.values - want)) <= 1e-13
+
+
 def _erfc_form(t, X, Xp):
     return wave_kernel_forms(t, X, Xp)[0]
 
