@@ -239,3 +239,35 @@ def test_u_domain_and_policy_validation():
         tricomi_u(-1.0, 1.5, 1.0)
     with pytest.raises(ValueError):
         tricomi_u(1.0, 1.5, -2.0)
+
+
+@pytest.mark.parametrize("a, c, z", [(100.0, 1.0, 100.0), (1.0, 50.0, 1.0)])
+def test_u_with_a_large_parameter_reaches_past_its_peak(a, c, z, monkeypatch):
+    """The integrand peaks near z e^v = max(a, c - 1).  A node range that
+    ended at z e^v = 60 cut it off below its peak: these read 2.70e-226
+    and 3.20e61 where mpmath reads 6.69e-226 and 3.374e61, after halving
+    the step to the table bound (0.08-0.1 s).  The widened range converges
+    long before a bound of 4096 nodes (0.7 ms a call)."""
+    mp = pytest.importorskip("mpmath")
+    got = tricomi_u(a, c, z)
+    assert got == pytest.approx(float(mp.hyperu(a, c, z)), rel=1e-13)
+    monkeypatch.setattr(special, "_U_BLOCK", 4096)
+    assert tricomi_u(a, c, z) == got
+
+
+def test_u_node_range_is_unchanged_for_the_package_families():
+    """The families tricomi_u and tricomi_u_deriv meet, (1, 3/2),
+    (1/2, 1/2) and (2, 5/2) and their shifts by (1, 1), keep the range end
+    z e^v = 60, so their values keep their bits."""
+    for a, c in ((1.0, 1.5), (0.5, 0.5), (2.0, 2.5), (1.5, 1.5), (3.0, 3.5)):
+        assert special._u_reach(a, c) == 60.0
+    assert special._u_reach(100.0, 1.0) > 200.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_u_whose_integrand_leaves_the_double_range_is_refused_by_name():
+    with pytest.raises(ValueError, match=r"integrand of U\(100, 100, z\) passes the largest "
+                                         r"double at z = 0\.001"):
+        tricomi_u(100.0, 100.0, np.array([1.0, 1e-3]))
+    with pytest.raises(ValueError, match=r"Gamma\(200\) in U's integral representation"):
+        tricomi_u(200.0, 1.0, 1.0)
