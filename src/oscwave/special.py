@@ -130,7 +130,7 @@ def _u_reach(a, c):
     # D(w) >= 40 (from log(1+x) <= x(2+x)/(2(1+x))) fall to its root
     w = K + 40.0 + math.sqrt(1600.0 + 80.0 * K)
     while True:
-        step = (w - K - K * math.log(w / K) - 40.0) / (1.0 - K / w)
+        step = (w - K - K * (math.log(w) - math.log(K)) - 40.0) / (1.0 - K / w)
         w -= step
         if step <= 1.0e-12 * w:
             return max(60.0, w)
@@ -158,29 +158,30 @@ def _u_integral(a, c, z):
         for b in np.array_split(rows[:, None], rows.size * s.size // _U_BLOCK + 1):
             v = v_min[b] + width[b] * s
             log1p_ev = np.maximum(v, 0.0) + np.log1p(np.exp(-np.abs(v)))
-            with np.errstate(over="ignore"):
-                out.append(np.sum(np.exp(-np.exp(log_z[b] + v) + a * v
-                                         + (c - a - 1.0) * log1p_ev), axis=-1))
-        out = np.concatenate(out)
-        if not np.all(np.isfinite(out)):
-            raise ValueError(f"the integrand of U({a:g}, {c:g}, z) passes the largest "
-                             f"double at z = {z[rows[~np.isfinite(out)][0]]:.4g}")
-        return out
+            out.append(np.sum(np.exp(-np.exp(log_z[b] + v) + a * v
+                                     + (c - a - 1.0) * log1p_ev), axis=-1))
+        return np.concatenate(out)
 
     rows = np.arange(z.size)
     n = 64
-    # the ends weigh 1/2
-    total = sums(rows, np.arange(1, n) / n) + 0.5 * sums(rows, np.array([0.0, 1.0]))
     out = np.empty(z.shape)
-    while rows.size:
-        mids = sums(rows, np.arange(1, 2 * n, 2) / (2 * n))
-        # the sums are positive; a subnormal one has no relative accuracy
-        done = abs(mids - total) <= _U_TOL * (mids + total) + np.finfo(float).tiny
-        total += mids
-        n *= 2
-        done |= n > _U_BLOCK
-        out[rows[done]] = width[rows[done]] / n * total[done]
-        rows, total = rows[~done], total[~done]
+    # a sum whose integrand passes the largest double reads inf: its row
+    # stops at once, and the call is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the ends weigh 1/2
+        total = sums(rows, np.arange(1, n) / n) + 0.5 * sums(rows, np.array([0.0, 1.0]))
+        while rows.size:
+            mids = sums(rows, np.arange(1, 2 * n, 2) / (2 * n))
+            # the sums are positive; a subnormal one has no relative accuracy
+            done = abs(mids - total) <= _U_TOL * (mids + total) + np.finfo(float).tiny
+            total += mids
+            n *= 2
+            done |= (n > _U_BLOCK) | np.isinf(total)
+            out[rows[done]] = width[rows[done]] / n * total[done]
+            rows, total = rows[~done], total[~done]
+    if np.isinf(out).any():
+        raise ValueError(f"the integrand of U({a:g}, {c:g}, z) passes the largest "
+                         f"double at z = {z[np.isinf(out)][0]:.4g}")
     return out / math.gamma(a)
 
 
