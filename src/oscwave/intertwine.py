@@ -35,9 +35,9 @@ Numerical plan, chosen to survive the weight's super-exponential growth:
     of this kind and need no trig table.
   Against a long-double direct sum, xi from 0.95 Nyquist to e^{-37} on
   [-12, 12) (n = 512), [20.5, 61.3) (2048) and [-37.3, 41.9) (4099),
-  complex data: per row within 3.8e-17 h/sqrt(2pi) sum|v| forward
-  (either kind of row) and 5.9e-17 sum|c| inverse, where one table kind
-  for all rows measured 3.8e-17 and 7.6e-17.  The window
+  complex data: per row within 3.7e-17 h/sqrt(2pi) sum|v| forward
+  (either kind of row) and 5.8e-17 sum|c| inverse, where the factored
+  tables on every row measured 3.7e-17 and 7.6e-17.  The window
   (IntertwineParams) builds its tables once, so forward and inverse share
   them, and one set serves both signs of xi through conjugation.  The
   conjugated heat flow reads the spectrum at the contracted nodes
@@ -332,20 +332,20 @@ def _phase_sums(values, x_grid, xi_targets, tables):
     """(h/sqrt(2pi)) sum_j values_j e^{-i x_j xi} at xi = +xi_targets and
     at xi = -xi_targets, returned in that order; tables are
     _phase_tables(xi_targets, x_grid)."""
-    t = tables
-    rows, m = t.coarse.shape[1], t.fine.shape[1]
+    rows, m = tables.coarse.shape[1], tables.fine.shape[1]
     M = np.pad(values, (0, rows * m - x_grid.n)).reshape(rows, m)
     # the -xi sum is the conjugate of the +xi sum of conj(values), so one
     # product over the shared tables yields both
-    inner = t.fine @ np.hstack([M.T, M.T.conj()])
+    inner = tables.fine @ np.hstack([M.T, M.T.conj()])
     # low rows: the moments sum_j values_j u_j^p, then one product
-    low = t.taylor @ (t.powers.T @ np.column_stack([values, np.conj(values)]))
+    low = tables.taylor @ (tables.powers.T @ np.column_stack([values, np.conj(values)]))
     g_plus = np.empty(len(xi_targets), dtype=complex)
     g_minus = np.empty(len(xi_targets), dtype=complex)
-    g_plus[t.high] = t.offset * np.sum(t.coarse * inner[:, :rows], axis=1)
-    g_minus[t.high] = np.conj(t.offset * np.sum(t.coarse * inner[:, rows:], axis=1))
-    g_plus[t.low] = t.centre * low[:, 0]
-    g_minus[t.low] = np.conj(t.centre * low[:, 1])
+    g_plus[tables.high] = tables.offset * np.sum(tables.coarse * inner[:, :rows], axis=1)
+    g_minus[tables.high] = np.conj(
+        tables.offset * np.sum(tables.coarse * inner[:, rows:], axis=1))
+    g_plus[tables.low] = tables.centre * low[:, 0]
+    g_minus[tables.low] = np.conj(tables.centre * low[:, 1])
     scale = x_grid.spacing / SQRT_2PI
     return g_plus * scale, g_minus * scale
 
@@ -353,16 +353,15 @@ def _phase_sums(values, x_grid, xi_targets, tables):
 def _inverse_phase_sums(x_grid, xi, c_plus, c_minus, tables):
     """sum_k c_plus_k e^{+i xi_k x_j} + c_minus_k e^{-i xi_k x_j} per x_j;
     tables are _phase_tables(xi, x_grid)."""
-    t = tables
-    m = t.fine.shape[1]
+    m = tables.fine.shape[1]
     # the +i sum is the conjugate of the -i sum of conj(c_plus)
     c_plus = np.conj(c_plus)
-    scaled = np.hstack([(c_plus[t.high] * t.offset)[:, None] * t.fine,
-                        (c_minus[t.high] * t.offset)[:, None] * t.fine])
-    both = t.coarse.T @ scaled
+    scaled = np.hstack([(c_plus[tables.high] * tables.offset)[:, None] * tables.fine,
+                        (c_minus[tables.high] * tables.offset)[:, None] * tables.fine])
+    both = tables.coarse.T @ scaled
     # low rows: P coefficients per sign, then one product with the powers
-    low = t.powers @ (t.taylor.T @ np.column_stack([c_plus[t.low] * t.centre,
-                                                      c_minus[t.low] * t.centre]))
+    low = tables.powers @ (tables.taylor.T @ np.column_stack(
+        [c_plus[tables.low] * tables.centre, c_minus[tables.low] * tables.centre]))
     return ((np.conj(both[:, :m]) + both[:, m:]).ravel()[: x_grid.n]
             + (np.conj(low[:, 0]) + low[:, 1]))
 
