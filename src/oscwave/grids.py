@@ -166,6 +166,16 @@ def _centered_d(values, h):
     return (values[2:] - values[:-2]) / (2.0 * h)
 
 
+def _two_prod(a, b):
+    """(p, e) with p = fl(a b) and p + e = a b exactly: Dekker's product on
+    Veltkamp splits, exact for |a|, |b| < 2^996 while a b stays normal."""
+    p = a * b
+    ca, cb = 134217729.0 * a, 134217729.0 * b
+    a1, b1 = ca - (ca - a), cb - (cb - b)
+    a2, b2 = a - a1, b - b1
+    return p, ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
+
+
 def _d2(values, h):
     return (values[2:] - 2.0 * values[1:-1] + values[:-2]) / h**2
 

@@ -70,7 +70,8 @@ import warnings
 import numpy as np
 
 from .fourier import SQRT_2PI, forward_ft, inverse_ft
-from .grids import Grid1D, SampledFunction, _centered_d, make_grid, make_report
+from .grids import (Grid1D, SampledFunction, _centered_d, _two_prod, make_grid,
+                    make_report)
 
 __all__ = [
     "IntertwineParams",
@@ -154,16 +155,6 @@ _RHO = 0.1
 # an unevaluated sum of two doubles
 _INV_2PI = (0.15915494309189535, -9.839338337591243e-18)
 _RAD_PER_UNIT = (2.0 * math.pi / 2.0**64, 2.4492935982947064e-16 / 2.0**64)
-
-
-def _two_prod(a, b):
-    """(p, e) with p = fl(a b) and p + e = a b exactly: Dekker's product on
-    Veltkamp splits, exact for |a|, |b| < 2^996 while a b stays normal."""
-    p = a * b
-    ca, cb = 134217729.0 * a, 134217729.0 * b
-    a1, b1 = ca - (ca - a), cb - (cb - b)
-    a2, b2 = a - a1, b - b1
-    return p, ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
 
 
 def _turns(hi, lo):

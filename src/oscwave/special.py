@@ -53,8 +53,9 @@ U_SERIES_CUTOFF = 1.0e-12
 _U_TOL = 1.0e-13
 
 # most entries of one node table; a z whose next row of midpoints alone
-# would pass it stops there, which bounds the loop.  Only a z whose node
-# range spans thousands of units of v (a near 1e-3) comes near it
+# would pass it has not converged, and the call is refused.  Only a z whose
+# node range spans thousands of units of v (a below about 1e-3) comes near
+# it: a = 1e-4 converges, a = 3e-5 does not
 _U_BLOCK = 1 << 20
 
 # natural log of the largest double, less a margin for the rounding of
@@ -166,7 +167,8 @@ def _u_integral(a, c, z):
     n = 64
     out = np.empty(z.shape)
     # a sum whose integrand passes the largest double reads inf: its row
-    # stops at once, and the call is refused below
+    # stops at once, and the call is refused below.  A node range that
+    # overflows (v_min = -42/a at a ~ 1e-308) reads nan and never converges
     with np.errstate(over="ignore", invalid="ignore"):
         # the ends weigh 1/2
         total = sums(rows, np.arange(1, n) / n) + 0.5 * sums(rows, np.array([0.0, 1.0]))
@@ -176,7 +178,10 @@ def _u_integral(a, c, z):
             done = abs(mids - total) <= _U_TOL * (mids + total) + np.finfo(float).tiny
             total += mids
             n *= 2
-            done |= (n > _U_BLOCK) | np.isinf(total)
+            done |= np.isinf(total)
+            if n > _U_BLOCK and not done.all():
+                raise ValueError(f"the trapezoid sum of U({a:g}, {c:g}, z) does not "
+                                 f"converge at z = {z[rows[~done][0]]:.4g}")
             out[rows[done]] = width[rows[done]] / n * total[done]
             rows, total = rows[~done], total[~done]
     if np.isinf(out).any():
@@ -203,8 +208,9 @@ def tricomi_u(a, c, z):
     (2, 5/2)).  For a and c up to 250 the error measured at most 1.0e-13
     on z in [1e-3, 300]; a call whose Gamma(a) or integrand passes the
     largest double (a past 171.6, or a and c near 100 at small z) raises a
-    ValueError that says so.  A z gives the same bits alone or inside any
-    array.
+    ValueError that says so, as does a call whose sum does not converge
+    within 2^20 nodes (a below about 1e-4).  A z gives the same bits alone
+    or inside any array.
     """
     a = float(a)
     c = float(c)

@@ -18,8 +18,10 @@ from hypothesis import strategies as st
 from oscwave import (
     OscillatorParams,
     SampledFunction,
+    ShiftCoverageWarning,
     SpectralCoefficients,
     VerificationReport,
+    heat_dirac,
     heat_kernel,
     hermite_fn,
     make_grid,
@@ -604,18 +606,32 @@ def test_kernel_dump_far_from_the_origin_writes_its_true_zeros(tmp_path, variant
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["heat-dirac", "--t", "1e308"], "shift t = 1e+308 overflows the phase xi*t on this grid"),
+    (["heat-dirac", "--t", "1e308"], None),
     (["wave-dirac", "--route", "oracle", "--t", "1e308"],
      "t*sqrt(R/2) = inf exceeds 25; the multiplier would amplify the band edge past 1e10")],
     ids=["heat-dirac", "wave-dirac-oracle"])
 def test_dirac_flows_at_a_huge_time_are_refused_by_name(oscillator_csv, tmp_path, argv, message):
     """The shift's phase xi t overflowed, and the run blamed the data
     ("sampled values must be finite"); the oracle's growth t sqrt(R/2)
-    overflowed before its refusal."""
-    rc, err, caught = _run_quietly([*argv, "--input", str(oscillator_csv),
-                                    "--output", str(tmp_path / "out.csv")])
-    assert (rc, err) == (1, f"oscwave: {message}\n")
+    overflowed before its refusal.  The shift now forms its phase from
+    t mod n h, which is exact, so it writes that translate and warns that
+    the data wraps, where the oracle is still refused."""
+    dst = tmp_path / "out.csv"
+    rc, err, caught = _run_quietly([*argv, "--input", str(oscillator_csv), "--output", str(dst)])
     assert not any("overflow" in w for w in caught)
+    if message is not None:
+        assert (rc, err) == (1, f"oscwave: {message}\n")
+        return
+    assert (rc, err) == (0, "")
+    assert caught == ["shift by t=1e+308 moves live data past the grid start; "
+                      "the result wraps around"]
+    u0 = read_function_csv(oscillator_csv)
+    shift = math.fmod(1e308, u0.grid.n * u0.grid.spacing)
+    assert 0.0 < shift < 24.0
+    ref = tmp_path / "ref.csv"
+    with pytest.warns(ShiftCoverageWarning):
+        write_function_csv(heat_dirac(u0, shift), ref)
+    assert dst.read_bytes() == ref.read_bytes()
 
 
 def test_grid_whose_span_overflows_is_refused_by_name(tmp_path):

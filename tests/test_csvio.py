@@ -1,17 +1,23 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscwave import (
     SampledFunction,
+    SpectralCoefficients,
     VerificationReport,
     make_grid,
     read_function_csv,
+    reconstruct,
     write_function_csv,
     write_kernel_csv,
     write_report_csv,
 )
+from oscwave import csvio
 from oscwave.cli import main
 from oscwave.csvio import _WRITE_BLOCK
 
@@ -345,3 +351,70 @@ def test_report_dump_layout(tmp_path):
     assert lines[0] == "check,metric,tolerance,verdict,notes"
     assert lines[1].startswith("alpha,") and lines[1].endswith(",pass,fine")
     assert lines[2].startswith("beta,") and ",fail," in lines[2]
+
+
+def _lines(values):
+    """The writer's rendering of each double, one per CRLF line."""
+    return csvio._joined(csvio._fields(np.asarray(values, dtype=float))[:, None])
+
+
+def _printf_lines(values):
+    return b"".join(b"%.17g\r\n" % v for v in np.asarray(values, dtype=float).tolist())
+
+
+@settings(max_examples=300)
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+def test_each_field_is_printf_17g(values):
+    # st.floats() draws subnormals, both zeros, both infinities and nan
+    assert _lines(values) == _printf_lines(values)
+
+
+def test_fields_next_to_every_power_of_ten():
+    # floor(log10 |v|) is the exponent guess, and it is off by one next to
+    # 10^q; the range check catches that and the value prints by %.17g
+    tens = np.array([float(f"1e{q}") for q in range(-300, 301)])
+    values = np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)])
+    values = np.concatenate([values, -values])
+    assert _lines(values) == _printf_lines(values)
+
+
+def test_exact_ties_round_half_to_even():
+    # in [2^50, 2^53) a double with fraction .25 or .75 is a tie at 17
+    # digits: 1125899906842624.25 prints ...624.2, and ...624.75 ...624.8
+    whole = 2.0**50 + np.random.default_rng(4).integers(0, 2**53 - 2**50, 500)
+    values = np.concatenate([whole + 0.25, whole + 0.75, 2.0**53 - np.array([0.25, 0.75])])
+    assert b"%.17g" % (2.0**50 + 0.25) == b"1125899906842624.2"
+    assert b"%.17g" % (2.0**50 + 0.75) == b"1125899906842624.8"
+    assert _lines(values) == _printf_lines(values)
+
+
+def test_fixed_and_exponent_forms_switch_where_printf_does():
+    # %g prints 1e-05 but 0.0001, and 10000000000000000 but 1e+17; a value
+    # that rounds up to the next power of ten takes that power's form
+    edges = np.array([1e-5, 1e-4, 1e16, 1e17])
+    values = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
+                             [9.99999999999999995e-5, 99999999999999999.0, 0.1, 1.0, 1e15,
+                              123456789012345678.0, 1200.0, 0.00012, 1.5e20]])
+    values = np.concatenate([values, -values])
+    assert _lines(values[:4]) == b"1.0000000000000001e-05\r\n0.0001\r\n10000000000000000\r\n1e+17\r\n"
+    assert _lines(values) == _printf_lines(values)
+
+
+def test_heat_output_renders_without_the_slow_lane(tmp_path, monkeypatch):
+    """Every value of a seeded heat-ho output takes the vectorized path, so
+    the byte tests above cannot pass through a writer that prints every
+    value by %.17g."""
+    g = make_grid(-12.0, 12.0, 2048)
+    coeffs = SpectralCoefficients(1.0, np.random.default_rng(11).standard_normal(8))
+    src, dst = tmp_path / "in.csv", tmp_path / "out.csv"
+    write_function_csv(reconstruct(coeffs, g), src)
+
+    def refuse(x):
+        raise AssertionError(f"{x!r} took the slow lane")
+    monkeypatch.setattr(csvio, "_printf", refuse)
+    assert main(["heat-ho", "--route", "intertwine", "--a", "1", "--t", "0.4",
+                 "--input", str(src), "--output", str(dst)]) == 0
+    values = np.loadtxt(dst, delimiter=",", skiprows=1)
+    assert values.shape == (2048, 3) and (values[:, 1:] == 0).any() and values[:, 1:].any()
+    monkeypatch.undo()
+    assert dst.read_bytes() == _reference_bytes("x,re,im", values.T)

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from oscwave import erfc_paper, tricomi_u, tricomi_u_deriv
-from oscwave import special
+from oscwave import special, verify
 from oscwave.special import U_SERIES_CUTOFF, tricomi_u_small_z
 
 SQRT_PI = np.sqrt(np.pi)
@@ -271,3 +272,26 @@ def test_u_whose_integrand_leaves_the_double_range_is_refused_by_name():
         tricomi_u(100.0, 100.0, np.array([1.0, 1e-3]))
     with pytest.raises(ValueError, match=r"Gamma\(200\) in U's integral representation"):
         tricomi_u(200.0, 1.0, 1.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_u_at_a_tiny_a_is_right_or_refused_by_name():
+    """The node range starts at v = -42/a, so below a ~ 1e-4 the sum needs
+    more than 2^20 nodes.  It used to stop there and return the unconverged
+    sum: 5.0e-6 off mpmath at a = 1e-6 and 7.4e-6 at a = 1e-300 (c = 1/2,
+    z = 1), and nan at a = 2e-308, where -42/a overflows."""
+    mp = pytest.importorskip("mpmath")
+    for a in (1e-2, 1e-4):
+        ref = float(mp.hyperu(a, 0.5, 1.0))
+        assert tricomi_u(a, 0.5, 1.0) == pytest.approx(ref, rel=1e-13)
+    for a in (1e-6, 1e-300, 2e-308):
+        with pytest.raises(ValueError, match=re.escape(
+                f"sum of U({a:g}, 0.5, z) does not converge at z = 1")):
+            tricomi_u(a, 0.5, np.array([1.0]))
+
+
+def test_c08_does_not_reach_the_table_bound(monkeypatch):
+    metrics = [r.metric for r in verify.CHECKS["wave_kernel_identity"]()]
+    assert len(metrics) == 4
+    monkeypatch.setattr(special, "_U_BLOCK", 2 * special._U_BLOCK)
+    assert [r.metric for r in verify.CHECKS["wave_kernel_identity"]()] == metrics
