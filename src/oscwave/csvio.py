@@ -14,9 +14,10 @@ second double's product joins the error term.  So r is within ~1e-14 of
 D - p, and p is an integer (p > 2^53).  Where D's integer part lies in
 [10^16, 10^17) and its fraction is more than 1e-9 from 1/2, rounding D to
 the nearest integer gives the 17 significant digits that %.17g prints
-(Loitsch, PLDI 2010, certifies Grisu3's shortest digits the same way); the
-digits, the %g choice between fixed and exponent form (exponent form iff
-k < -4 or k >= 17), the sign and the exponent then come from lookup tables.
+(Loitsch, PLDI 2010, certifies Grisu3's shortest digits the same way).  The
+digits, the decimal point, the %g choice between fixed and exponent form
+(exponent form iff k < -4 or k >= 17) and the exponent then come from
+lookup tables.
 Zeros print as 0 or -0.  Every other value goes through '%.17g' % v on its
 own: nan, the infinities, |v| outside that range, near-ties (exact ties
 round half to even there) and any value whose k a platform's log10 misses.

@@ -56,8 +56,8 @@ def heat_dirac(U0, t):
     _warn_if_wrapping(U0, t)
     # e^{i xi t} is periodic in t with the period n h that the frequency
     # grid implies, and xi t rounds at its own scale: reduce t first (fmod
-    # is exact, t < n h stays as it is, and xi t never forms, so no t
-    # overflows the phase)
+    # is exact, t < n h stays as it is, and xi times the reduced t is
+    # finite for every finite t)
     shift = math.fmod(t, U0.grid.n * U0.grid.spacing)
     shifted = SpectralFunction(F.xi_grid, F.values * np.exp(1j * xi * shift), F.x_grid)
     return inverse_ft(shifted)

@@ -1,4 +1,3 @@
-import math
 import warnings
 
 import numpy as np
@@ -370,8 +369,8 @@ def test_each_field_is_printf_17g(values):
 
 
 def test_fields_next_to_every_power_of_ten():
-    # floor(log10 |v|) is the exponent guess, and it is off by one next to
-    # 10^q; the range check catches that and the value prints by %.17g
+    # floor(log10 |v|) is the exponent guess, and it can be off by one next
+    # to 10^q; the range check catches that and the value prints by %.17g
     tens = np.array([float(f"1e{q}") for q in range(-300, 301)])
     values = np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)])
     values = np.concatenate([values, -values])
@@ -401,9 +400,9 @@ def test_fixed_and_exponent_forms_switch_where_printf_does():
 
 
 def test_heat_output_renders_without_the_slow_lane(tmp_path, monkeypatch):
-    """Every value of a seeded heat-ho output takes the vectorized path, so
-    the byte tests above cannot pass through a writer that prints every
-    value by %.17g."""
+    """Every value of a seeded heat-ho output takes the vectorized path: a
+    writer that printed every value by %.17g would pass the byte tests
+    above, but not this one."""
     g = make_grid(-12.0, 12.0, 2048)
     coeffs = SpectralCoefficients(1.0, np.random.default_rng(11).standard_normal(8))
     src, dst = tmp_path / "in.csv", tmp_path / "out.csv"
