@@ -115,10 +115,17 @@ def expand(f, a, n_max):
     return _project(f, a, hermite_table(n_max, a, f.grid.points))
 
 
+def _pairs(v):
+    # a fresh complex vector as the n x 2 real matrix of its (Re, Im)
+    # pairs, without a copy.  A real table times it is two real products
+    # in one BLAS call; table @ v would copy the table to complex first
+    return v.view(float).reshape(-1, 2)
+
+
 def _project(f, a, table):
     # expand with the table of f's grid given
     w = f.grid.spacing * quadrature_weights(f.grid.n)
-    c = SpectralCoefficients(a, table @ (w * f.values))
+    c = SpectralCoefficients(a, (table @ _pairs(w * f.values)).view(complex).ravel())
     c._table = (c.n_max, c.a, f.grid, table)
     if c.tail_fraction() > TAIL_WARN:
         warnings.warn(
@@ -139,7 +146,7 @@ def _table_for(c, grid):
 
 
 def _synthesize(c, grid, multipliers):
-    vals = (multipliers * c.coeffs) @ _table_for(c, grid)
+    vals = (_table_for(c, grid).T @ _pairs(multipliers * c.coeffs)).view(complex).ravel()
     return SampledFunction(grid, vals)
 
 

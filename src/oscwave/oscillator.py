@@ -197,12 +197,13 @@ def heat_ho_kernel_route(u0, p, variant="mehler"):
     D_R are the diagonals e^{c0 + cl x^2} and e^{cr x'^2}, and G is the
     Toeplitz matrix of g_k = e^{-(B/2)(kh)^2}, k = -(n-1)..(n-1).  So the
     quadrature h D_L G D_R (u w), w the grid's quadrature weights, costs
-    4n exponentials and one np.convolve.  The convolution stays a direct
-    sum, not an FFT, so this route shares no machinery with the spectral
-    route.  Each factor is scaled so that its largest entry is e^{S/3},
-    S the sum of the three largest exponents; a kernel whose quadrature
-    still leaves the double range (the literal variant at small at or on
-    wide grids) raises ValueError.
+    4n exponentials and one np.convolve per part of u that is not
+    identically zero.  The convolution stays a direct sum, not an FFT, so
+    this route shares no machinery with the spectral route.  Each factor
+    is scaled so that its largest entry is e^{S/3}, S the sum of the three
+    largest exponents; a kernel whose quadrature still leaves the double
+    range (the literal variant at small at or on wide grids) raises
+    ValueError.
 
     The x' integral runs over u0's own grid, so the data (not the kernel,
     which is globally positive) must have decayed at the grid ends: a
@@ -237,8 +238,10 @@ def heat_ho_kernel_route(u0, p, variant="mehler"):
         left, gauss, right = (np.exp(e - e.max() + third) for e in (e_l, e_g, e_r))
         right = right * u0.values
         v = right * quadrature_weights(n)
-        out = g.spacing * left * (np.convolve(gauss, v.real, "valid")
-                                  + 1j * np.convolve(gauss, v.imag, "valid"))
+        # real data leave v.imag all zeros, whose convolution adds only
+        # zeros: 0.0 stands in for it
+        imag = np.convolve(gauss, v.imag, "valid") if v.imag.any() else 0.0
+        out = g.spacing * left * (np.convolve(gauss, v.real, "valid") + 1j * imag)
     if not np.all(np.isfinite(out)):
         raise ValueError(
             f"the {variant} kernel overflows on this grid at a = {p.a:g}, "

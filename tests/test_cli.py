@@ -327,6 +327,46 @@ def test_verify_runs_are_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def _bytes_of_two_runs(tmp_path, name, *args):
+    """The output files of two concurrent `python -m oscwave.cli` runs of
+    args, each written to its own --output."""
+    pkg_root = Path(oscwave.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(pkg_root))
+    outs = [tmp_path / f"{name}_{k}.csv" for k in (1, 2)]
+    runs = [subprocess.Popen(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "oscwave.cli", *args,
+         "--output", str(out)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env)
+        for out in outs]
+    for run in runs:
+        _, err = run.communicate(timeout=120)
+        assert run.returncode == 0, err
+    return [out.read_bytes() for out in outs]
+
+
+def test_verify_report_is_byte_identical_across_processes(tmp_path):
+    """The whole report, every row of which a BLAS product, a phase sum or
+    a quadrature feeds, is the same file in two processes."""
+    first, second = _bytes_of_two_runs(tmp_path, "report", "verify", "--suite", "all")
+    assert first == second
+    assert first.startswith(b"check,metric,tolerance,verdict,notes")
+
+
+@pytest.mark.parametrize("route", ["heat-ho", "wave-ho"])
+def test_oracle_routes_are_byte_identical_across_processes(tmp_path, route):
+    """The Hermite oracles project and synthesize through real BLAS
+    products; their output on a seeded 512-point input is the same file
+    in two processes."""
+    src = tmp_path / "osc.csv"
+    g = make_grid(-12.0, 12.0, 512)
+    c = SpectralCoefficients(1.0, np.random.default_rng(5).standard_normal(8))
+    write_function_csv(reconstruct(c, g), src)
+    first, second = _bytes_of_two_runs(tmp_path, route, route, "--route", "oracle",
+                                       "--a", "1.0", "--t", "0.4", "--input", str(src))
+    assert first == second
+    assert len(first.splitlines()) == 1 + 512
+
+
 def test_verify_exit_code_two_on_failure(tmp_path):
     def _always_fails():
         return [VerificationReport("always_fails", 1.0, 1e-6, "fail", "synthetic")]

@@ -148,7 +148,6 @@ def test_phase_table_entries_match_mpmath(lo, hi, n):
     rounding.
     """
     mp = pytest.importorskip("mpmath")
-    mp.mp.prec = 150
     rng = np.random.default_rng(n)
     g = make_grid(lo, hi, n)
     xi = np.sort(rng.uniform(1e-3, 0.95, 257)) * np.pi / g.spacing
@@ -160,8 +159,9 @@ def test_phase_table_entries_match_mpmath(lo, hi, n):
     for name, table in (("offset", offset[:, None]), ("coarse", coarse), ("fine", fine)):
         rows = rng.integers(0, table.shape[0], 400)
         cols = rng.integers(0, table.shape[1], 400)
-        want = np.array([complex(mp.expj(-mp.mpf(xi[k]) * steps[name](int(c))))
-                         for k, c in zip(rows, cols)])
+        with mp.workprec(150):
+            want = np.array([complex(mp.expj(-mp.mpf(xi[k]) * steps[name](int(c))))
+                             for k, c in zip(rows, cols)])
         assert np.max(np.abs(table[rows, cols] - want)) <= 8e-16, name
 
 
@@ -182,7 +182,6 @@ def test_low_and_high_rows_match_a_long_double_direct_sum(lo, hi, n):
     h/sqrt(2pi) sum|v|, inverse within 2e-16 sum|c|.
     """
     mp = pytest.importorskip("mpmath")
-    mp.mp.prec = 150
     rng = np.random.default_rng(n)
     g = make_grid(lo, hi, n)
     R = g.spacing * (0.5 * (n - 1))
@@ -202,9 +201,10 @@ def test_low_and_high_rows_match_a_long_double_direct_sum(lo, hi, n):
     assert low[xi == edge] and not low[xi == np.nextafter(edge, 1.0)]
 
     ld = np.longdouble
-    offset = [mp.expj(-mp.mpf(k) * mp.mpf(g.x_min)) for k in xi]
-    off_re = np.array([ld(mp.nstr(z.real, 30)) for z in offset])
-    off_im = np.array([ld(mp.nstr(z.imag, 30)) for z in offset])
+    with mp.workprec(150):
+        offset = [mp.expj(-mp.mpf(k) * mp.mpf(g.x_min)) for k in xi]
+        off_re = np.array([ld(mp.nstr(z.real, 30)) for z in offset])
+        off_im = np.array([ld(mp.nstr(z.imag, 30)) for z in offset])
     theta = np.multiply.outer(xi.astype(ld), ld(g.spacing) * np.arange(n))
     cos = off_re[:, None] * np.cos(theta) + off_im[:, None] * np.sin(theta)
     sin = off_re[:, None] * np.sin(theta) - off_im[:, None] * np.cos(theta)

@@ -280,6 +280,27 @@ def test_kernel_route_composes():
     assert rel_l2_error(two, one) <= 1e-12
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("variant", ["mehler", "paper_corrected"])
+def test_kernel_route_convolves_each_part_on_its_own(variant):
+    """The real and the imaginary part of the data are convolved apart,
+    and an imaginary part that is identically zero is not convolved: the
+    route of u equals route(Re u) + 1j route(Im u) bit for bit, and real
+    data come out with an imaginary part of +0.0, never -0.0."""
+    rng = np.random.default_rng(17)
+    env = np.exp(-0.5 * GRID_K.points**2)
+    re, im = (env * rng.standard_normal(GRID_K.n) for _ in range(2))
+    p = OscillatorParams(1.0, 0.3)
+    both = heat_ho_kernel_route(SampledFunction(GRID_K, re + 1j * im), p, variant).values
+    real = heat_ho_kernel_route(SampledFunction(GRID_K, re), p, variant).values
+    imag = heat_ho_kernel_route(SampledFunction(GRID_K, im), p, variant).values
+    assert np.all(real.real != 0.0) and np.all(imag.real != 0.0)
+    assert np.array_equal(both.real, real.real)
+    assert np.array_equal(both.imag, imag.real)
+    for out in (real, imag):
+        assert np.all(out.imag == 0.0) and not np.any(np.signbit(out.imag))
+
+
 def test_kernel_route_needs_positive_time():
     with pytest.raises(ValueError):
         heat_ho_kernel_route(_mode(0), OscillatorParams(1.0, 0.0))

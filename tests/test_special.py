@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -204,13 +205,14 @@ def test_u_values_next_to_the_refused_range_are_unchanged():
 
 def test_u_is_the_same_whatever_the_table_bound(monkeypatch):
     """Each z stops halving on its own and its rows sum in numpy's pairwise
-    order, so a table bound that splits every level into blocks of a few
-    rows, but still holds each z's last row of midpoints, gives the same
+    order, so a table bound that still holds each z's last row of
+    midpoints, and evaluation blocks of one row each, give the same
     bits."""
     zs = np.concatenate([10.0 ** np.arange(-320.0, 2.5), [1e-12, 0.5, 77.7]])
     for a, c in ((0.5, 0.5), (1.0, 1.0), (0.99, 0.99), (2.0, 0.95)):
         wide = tricomi_u(a, c, zs)
         monkeypatch.setattr(special, "_U_BLOCK", 3000)
+        monkeypatch.setattr(special, "_U_SUM_BLOCK", 50)
         narrow = tricomi_u(a, c, zs)
         monkeypatch.undo()
         assert np.array_equal(wide, narrow)
@@ -288,6 +290,45 @@ def test_u_at_a_tiny_a_is_right_or_refused_by_name():
         with pytest.raises(ValueError, match=re.escape(
                 f"sum of U({a:g}, 0.5, z) does not converge at z = 1")):
             tricomi_u(a, 0.5, np.array([1.0]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_u_with_a_node_range_past_the_double_range_sums_nothing(monkeypatch):
+    """At a = 2e-308 the range start -42/a overflows, so no sum can
+    converge: the call is refused before the first one, where it used to
+    halve its step to 2^20 nodes first (0.04 s)."""
+    def counted(*args):
+        calls.append(args)
+        return sums(*args)
+
+    calls, sums = [], special._u_sums
+    monkeypatch.setattr(special, "_u_sums", counted)
+    with pytest.raises(ValueError, match=re.escape(
+            "sum of U(2e-308, 0.5, z) does not converge at z = 1: its node range")):
+        tricomi_u(2e-308, 0.5, np.array([1.0, 2.0]))
+    assert calls == []
+    # a = 3e-307 keeps a finite range, which is summed and then refused
+    with pytest.raises(ValueError, match="does not converge at z = 1$"):
+        tricomi_u(3e-307, 0.5, 1.0)
+    assert len(calls) > 10
+
+
+def test_u_on_c08s_arguments_keeps_its_temporaries_small():
+    """The integrand is evaluated in blocks of about _U_SUM_BLOCK entries:
+    on c08's 1000 z a call peaked at 8.3 MB with blocks of 2^20 entries,
+    and peaks at 0.8 MB now."""
+    rng = np.random.default_rng(23)
+    t = rng.uniform(0.05, 2.0, 1000)
+    gap = rng.uniform(0.05, 6.0, 1000)
+    z = t * t / (4.0 * gap)
+    tricomi_u(1.0, 1.5, z)
+    tracemalloc.start()
+    try:
+        tricomi_u(1.0, 1.5, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
 
 
 def test_c08_does_not_reach_the_table_bound(monkeypatch):
