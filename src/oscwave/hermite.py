@@ -116,7 +116,7 @@ def expand(f, a, n_max):
 
 
 def _pairs(v):
-    # a fresh complex vector as the n x 2 real matrix of its (Re, Im)
+    # a contiguous complex vector as the n x 2 real matrix of its (Re, Im)
     # pairs, without a copy.  A real table times it is two real products
     # in one BLAS call; table @ v would copy the table to complex first
     return v.view(float).reshape(-1, 2)
