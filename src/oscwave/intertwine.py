@@ -169,8 +169,10 @@ def _turns(hi, lo):
 
 
 def _unit_phase(turns):
-    """e^{-i theta} for fixed-point turns theta, rounded once to radians."""
-    out = np.empty(turns.shape, dtype=complex)
+    """cos theta and sin theta for fixed-point turns theta, each angle
+    rounded once to radians, side by side on a new axis 1: out[:, 0] is the
+    real part of e^{-i theta} and out[:, 1] minus its imaginary part."""
+    out = np.empty(turns.shape[:1] + (2,) + turns.shape[1:])
     # row blocks of about 8192 entries, whose temporaries stay in cache
     blocks = max(1, turns.size // 8192)
     for k, part in zip(np.array_split(turns.view(np.int64), blocks),
@@ -180,10 +182,28 @@ def _unit_phase(turns):
         lo = k & 2047
         hi = (k - lo).astype(float)
         p, e = _two_prod(hi, _RAD_PER_UNIT[0])
-        theta = -(p + (e + (hi * _RAD_PER_UNIT[1] + lo * _RAD_PER_UNIT[0])))
-        np.cos(theta, out=part.real)
-        np.sin(theta, out=part.imag)
+        theta = p + (e + (hi * _RAD_PER_UNIT[1] + lo * _RAD_PER_UNIT[0]))
+        np.cos(theta, out=part[:, 0])
+        np.sin(theta, out=part[:, 1])
     return out
+
+
+def _conj_unit(turns):
+    """e^{-i theta} for a 1-d array of fixed-point turns theta."""
+    cos_sin = _unit_phase(turns)
+    cos_sin[:, 1] *= -1.0
+    return cos_sin.view(complex)[:, 0]
+
+
+def _split(n):
+    """(half, top, front) of the centred split of n samples: sample j sits
+    at d = j - (n-1)//2 = m J + r with m = 2 half + 1 ~ sqrt(n),
+    |r| <= half and |J| <= top, entry front + j of a (2 top + 1) x m
+    array."""
+    half = math.isqrt(n) // 2
+    m, c = 2 * half + 1, (n - 1) // 2
+    top = (n - 1 - c + half) // m
+    return half, top, top * m + half - c
 
 
 class _Tables(NamedTuple):
@@ -191,19 +211,19 @@ class _Tables(NamedTuple):
     |xi| R > _RHO (high) and the moment expansion for the rest (low)."""
 
     high: np.ndarray    # row indices into xi, increasing
-    offset: np.ndarray  # e^{-i xi x0} per high row
-    coarse: np.ndarray  # e^{-i xi h m J}, high rows x ceil(n/m)
-    fine: np.ndarray    # e^{-i xi h r}, high rows x m
+    mid: np.ndarray     # e^{-i xi x_mid} per high row, x_mid the node (n-1)//2
+    coarse: np.ndarray  # cos, sin of xi h m J, high rows x 2 x (top + 1)
+    fine: np.ndarray    # cos, sin of xi h r, high rows x 2 x (half + 1)
     low: np.ndarray     # row indices into xi, increasing
     centre: np.ndarray  # e^{-i xi x_c} per low row
     taylor: np.ndarray  # (-i xi R)^p / p!, low rows x P
-    powers: np.ndarray  # u_j^p, n x P, the same for every row
+    powers: np.ndarray  # u_j^p as complex, n x P, the same for every row
 
     def rows(self, start, stop):
         """Rows [start, stop) of xi, as a set of their own."""
         i, j = np.searchsorted(self.high, (start, stop))
         k, l = np.searchsorted(self.low, (start, stop))
-        return _Tables(self.high[i:j] - start, self.offset[i:j], self.coarse[i:j],
+        return _Tables(self.high[i:j] - start, self.mid[i:j], self.coarse[i:j],
                        self.fine[i:j], self.low[k:l] - start, self.centre[k:l],
                        self.taylor[k:l], self.powers)
 
@@ -211,16 +231,16 @@ class _Tables(NamedTuple):
 def _phase_tables(xi, grid):
     """Factors of e^{-i xi_k x_j} over the uniform grid x_j = x0 + j h.
 
-    High rows, |xi| R > _RHO with R = h(n-1)/2: with m = ceil(sqrt(n)) and
-    j = m J + r (0 <= r < m), the phase is offset[k] * coarse[k, J] *
-    fine[k, r], where offset = e^{-i xi x0}, coarse = e^{-i xi h m J}
-    (ceil(n/m) columns) and fine = e^{-i xi h r} (m columns).  The last J
-    row may run past the n samples; callers pad it.  Low rows: with x_c
-    the grid centre and u_j = (x_j - x_c)/R in [-1, 1], the phase is
+    High rows, |xi| R > _RHO with R = h(n-1)/2: with j - (n-1)//2 = m J + r
+    as in _split, the phase is mid[k] (C - i S)(c - i s), where (C, S) =
+    coarse[k, :, |J|] and (c, s) = fine[k, :, |r|] are cos and sin of
+    xi h m |J| and xi h |r|, S taking the sign of J and s that of r.  cos
+    is even and sin odd, so the tables hold J, r >= 0 only.  Low rows: with
+    x_c the grid centre and u_j = (x_j - x_c)/R in [-1, 1], the phase is
     centre[k] * sum_p taylor[k, p] powers[j, p], centre = e^{-i xi x_c}.
     """
     n, h = grid.n, grid.spacing
-    m = math.isqrt(n - 1) + 1
+    half, top, _ = _split(n)
     # x_c + c_err = x0 + R exactly, so x_j - x_c = h (j - (n-1)/2) + c_err
     # but for R's own rounding, which moves a low row's phase by at most
     # _RHO 2^-53
@@ -229,12 +249,16 @@ def _phase_tables(xi, grid):
     c_err = math.fsum((grid.x_min, R, -x_c))
     low = np.abs(xi) * R <= _RHO
     high, low = np.flatnonzero(~low), np.flatnonzero(low)
-    # the row steps xi x0, xi h m and xi h, and the low rows' xi x_c, as
-    # exact products
-    hm, hm_err = _two_prod(h, float(m))
-    hi, lo = _two_prod(xi[high], np.array([[grid.x_min], [hm], [h]]))
-    lo[1] += xi[high] * hm_err
-    offset, coarse, fine = _turns(hi, lo)
+    # the row steps xi x0, xi h (n-1)//2, xi h m and xi h, and the low rows'
+    # xi x_c, as exact products (h (n-1)//2 and h m are exact products
+    # themselves); the mid node's angle is the sum of the first two, added
+    # in turns, where the uint64 sum wraps exactly
+    hc, hc_err = _two_prod(h, float((n - 1) // 2))
+    hm, hm_err = _two_prod(h, float(2 * half + 1))
+    hi, lo = _two_prod(xi[high], np.array([[grid.x_min], [hc], [hm], [h]]))
+    lo[1] += xi[high] * hc_err
+    lo[2] += xi[high] * hm_err
+    x0, to_mid, coarse, fine = _turns(hi, lo)
     centre = _turns(*_two_prod(xi[low], x_c))
     # P terms leave at most _RHO^P / P! (the first omitted term bounds the
     # rest), which must fall under an eighth of a rounding
@@ -244,12 +268,12 @@ def _phase_tables(xi, grid):
     steps = np.outer(xi[low] * R, 1.0 / np.arange(1, P))
     taylor = np.cumprod(np.hstack([np.ones((low.size, 1)), steps]), axis=1)
     return _Tables(
-        high, _unit_phase(offset),
-        _unit_phase(np.multiply.outer(coarse, np.arange(-(-n // m), dtype=np.uint64))),
-        _unit_phase(np.multiply.outer(fine, np.arange(m, dtype=np.uint64))),
-        low, _unit_phase(centre),
+        high, _conj_unit(x0 + to_mid),
+        _unit_phase(np.multiply.outer(coarse, np.arange(top + 1, dtype=np.uint64))),
+        _unit_phase(np.multiply.outer(fine, np.arange(half + 1, dtype=np.uint64))),
+        low, _conj_unit(centre),
         taylor * np.array([1.0, -1j, -1.0, 1j])[np.arange(P) % 4],
-        np.vander(u, P, increasing=True))
+        np.vander(u, P, increasing=True).astype(complex))
 
 
 @dataclass(frozen=True)
@@ -323,18 +347,41 @@ def _phase_sums(values, x_grid, xi_targets, tables):
     """(h/sqrt(2pi)) sum_j values_j e^{-i x_j xi} at xi = +xi_targets and
     at xi = -xi_targets, returned in that order; tables are
     _phase_tables(xi_targets, x_grid)."""
-    rows, m = tables.coarse.shape[1], tables.fine.shape[1]
-    M = np.pad(values, (0, rows * m - x_grid.n)).reshape(rows, m)
-    # the -xi sum is the conjugate of the +xi sum of conj(values), so one
-    # product over the shared tables yields both
-    inner = tables.fine @ np.hstack([M.T, M.T.conj()])
+    n = x_grid.n
+    half, top, front = _split(n)
+    M = np.zeros((2 * top + 1, 2 * half + 1), dtype=complex)
+    M.ravel()[front:front + n] = values
+    # the real and imaginary parts as M[r, re/im, J], folded over r and then
+    # over J into sums (E) and differences (O) of the mirrored entries, the
+    # entry at index 0 counted once: Z[E/O in r, r, E/O in J, re/im, J]
+    M = M.view(float).reshape(2 * top + 1, 2 * half + 1, 2).transpose(1, 2, 0)
+    fold = np.empty((2, half + 1, 2, 2 * top + 1))
+    np.add(M[half:], M[half::-1], out=fold[0])
+    fold[0, 0] = M[half]
+    np.subtract(M[half:], M[half::-1], out=fold[1])
+    Z = np.empty((2, half + 1, 2, 2, top + 1))
+    np.add(fold[..., top:], fold[..., top::-1], out=Z[:, :, 0])
+    Z[:, :, 0, :, 0] = fold[..., top]
+    np.subtract(fold[..., top:], fold[..., top::-1], out=Z[:, :, 1])
+    # one real product per parity in r, the E part against c and the O
+    # part against s; then w[p, k, q] sums prod[p, k, q] over J against C
+    # (q = 0, E in J) or S (q = 1, O in J).  U = w[0, 0] - w[1, 1] is the
+    # part of the sum even in xi and V = w[1, 0] + w[0, 1] the odd part, so
+    # G(+xi) = mid (U - iV) and G(-xi) = conj(mid) (U + iV)
+    rows = tables.high.size
+    prod = np.empty((2, rows, 2, 2, top + 1))
+    for p in range(2):
+        np.matmul(tables.fine[:, p], Z[p].reshape(half + 1, 4 * (top + 1)),
+                  out=prod[p].reshape(rows, 4 * (top + 1)))
+    w = np.matmul(prod, tables.coarse[..., None])[..., 0]
+    U = (w[0, :, 0] - w[1, :, 1]).view(complex)[:, 0]
+    V = (w[1, :, 0] + w[0, :, 1]).view(complex)[:, 0]
     # low rows: the moments sum_j values_j u_j^p, then one product
     low = tables.taylor @ (tables.powers.T @ np.column_stack([values, np.conj(values)]))
     g_plus = np.empty(len(xi_targets), dtype=complex)
     g_minus = np.empty(len(xi_targets), dtype=complex)
-    g_plus[tables.high] = tables.offset * np.sum(tables.coarse * inner[:, :rows], axis=1)
-    g_minus[tables.high] = np.conj(
-        tables.offset * np.sum(tables.coarse * inner[:, rows:], axis=1))
+    g_plus[tables.high] = tables.mid * (U - 1j * V)
+    g_minus[tables.high] = np.conj(tables.mid) * (U + 1j * V)
     g_plus[tables.low] = tables.centre * low[:, 0]
     g_minus[tables.low] = np.conj(tables.centre * low[:, 1])
     scale = x_grid.spacing / SQRT_2PI
@@ -344,17 +391,39 @@ def _phase_sums(values, x_grid, xi_targets, tables):
 def _inverse_phase_sums(x_grid, xi, c_plus, c_minus, tables):
     """sum_k c_plus_k e^{+i xi_k x_j} + c_minus_k e^{-i xi_k x_j} per x_j;
     tables are _phase_tables(xi, x_grid)."""
-    m = tables.fine.shape[1]
-    # the +i sum is the conjugate of the -i sum of conj(c_plus)
-    c_plus = np.conj(c_plus)
-    scaled = np.hstack([(c_plus[tables.high] * tables.offset)[:, None] * tables.fine,
-                        (c_minus[tables.high] * tables.offset)[:, None] * tables.fine])
-    both = tables.coarse.T @ scaled
+    n = x_grid.n
+    half, top, front = _split(n)
+    # at x_j = x_mid + h d, d = m J + r, a high row adds alpha e^{-i xi h d}
+    # + beta e^{+i xi h d}, alpha = c_minus mid and beta = c_plus conj(mid):
+    # sigma (C c - S s) + delta (C s + S c) with sigma = alpha + beta and
+    # delta = -i (alpha - beta), S and s signed by J and r
+    alpha = c_minus[tables.high] * tables.mid
+    beta = c_plus[tables.high] * np.conj(tables.mid)
+    pair = np.stack([alpha + beta, -1j * (alpha - beta)], axis=1)[:, :, None]
+    rows = tables.high.size
+    right = np.empty((2, rows, 2, half + 1), dtype=complex)
+    np.multiply(pair, tables.fine, out=right[0])
+    np.multiply(pair, tables.fine[:, ::-1], out=right[1])
+    # real products on the interleaved parts: C.T @ [sigma c | delta s] and
+    # S.T @ [sigma s | delta c], per (|J|, |r|)
+    R = np.empty((2, top + 1, 2, half + 1), dtype=complex)
+    for q in range(2):
+        np.matmul(tables.coarse[:, q].T, right[q].reshape(rows, 2 * (half + 1)).view(float),
+                  out=R[q].reshape(top + 1, 2 * (half + 1)).view(float))
+    (Cc, Cs), (Ss, Sc) = R.transpose(0, 2, 1, 3)
+    # the terms with C and with S, each at r >= 0 and at r <= 0; J = 0 and
+    # r = 0 lie in two sign quadrants each, where the S and s terms vanish,
+    # so either write holds the same value
+    with_C, with_S = (Cc + Cs, Cc - Cs), (Sc - Ss, Sc + Ss)
+    F = np.empty((2 * top + 1, 2 * half + 1), dtype=complex)
+    F[top::-1, half::-1] = with_C[1] - with_S[1]
+    F[top::-1, half:] = with_C[0] - with_S[0]
+    F[top:, half::-1] = with_C[1] + with_S[1]
+    F[top:, half:] = with_C[0] + with_S[0]
     # low rows: P coefficients per sign, then one product with the powers
     low = tables.powers @ (tables.taylor.T @ np.column_stack(
-        [c_plus[tables.low] * tables.centre, c_minus[tables.low] * tables.centre]))
-    return ((np.conj(both[:, :m]) + both[:, m:]).ravel()[: x_grid.n]
-            + (np.conj(low[:, 0]) + low[:, 1]))
+        [np.conj(c_plus[tables.low]) * tables.centre, c_minus[tables.low] * tables.centre]))
+    return F.ravel()[front:front + n] + (np.conj(low[:, 0]) + low[:, 1])
 
 
 def _damped(phi, a):

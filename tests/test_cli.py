@@ -352,17 +352,24 @@ def test_verify_report_is_byte_identical_across_processes(tmp_path):
     assert first.startswith(b"check,metric,tolerance,verdict,notes")
 
 
-@pytest.mark.parametrize("route", ["heat-ho", "wave-ho"])
-def test_oracle_routes_are_byte_identical_across_processes(tmp_path, route):
+@pytest.mark.parametrize("sub, route, t", [
+    pytest.param("heat-ho", "oracle", "0.4", id="heat-ho"),
+    pytest.param("wave-ho", "oracle", "0.4", id="wave-ho"),
+    pytest.param("heat-ho", "intertwine", "0.4", id="heat-ho-intertwine-t0.4"),
+    pytest.param("heat-ho", "intertwine", "1e-3", id="heat-ho-intertwine-t1e-3"),
+    pytest.param("wave-ho", "direct", "0.4", id="wave-ho-direct")])
+def test_oracle_routes_are_byte_identical_across_processes(tmp_path, sub, route, t):
     """The Hermite oracles project and synthesize through real BLAS
-    products; their output on a seeded 512-point input is the same file
-    in two processes."""
+    products, and the routes through T sum their phases in real BLAS
+    products too (a heat call at t = 1e-3 keeps the derived window and
+    builds twice its rows); their output on a seeded 512-point input is the
+    same file in two processes."""
     src = tmp_path / "osc.csv"
     g = make_grid(-12.0, 12.0, 512)
     c = SpectralCoefficients(1.0, np.random.default_rng(5).standard_normal(8))
     write_function_csv(reconstruct(c, g), src)
-    first, second = _bytes_of_two_runs(tmp_path, route, route, "--route", "oracle",
-                                       "--a", "1.0", "--t", "0.4", "--input", str(src))
+    first, second = _bytes_of_two_runs(tmp_path, sub, sub, "--route", route,
+                                       "--a", "1.0", "--t", t, "--input", str(src))
     assert first == second
     assert len(first.splitlines()) == 1 + 512
 

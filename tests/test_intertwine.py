@@ -27,7 +27,7 @@ from oscwave import (
 from oscwave.fourier import EdgeDecayWarning, SpectralFunction
 from oscwave.intertwine import (_INV_2PI, _RAD_PER_UNIT, _RHO, _branch_transform,
                                 _centered_d, _damped, _inverse_phase_sums, _phase_sums,
-                                _phase_tables, _two_prod)
+                                _phase_tables, _split, _two_prod)
 
 GRID = make_grid(-12.0, 12.0, 2048)
 X = GRID.points
@@ -143,26 +143,38 @@ def test_phase_table_entries_match_mpmath(lo, hi, n):
     One grid is off-center with |x0| = 37.3 and n = 4099 (prime), the
     other lies wholly at x > 0, and xi runs to 0.95 of the Nyquist
     frequency, so the arguments reach ~6000 rad: rounding one to double
-    before the reduction mod 2pi costs ~1e-13 there.  The worst of these
-    1200 sampled entries per grid measures 3.1e-16 and 2.5e-16, one
-    rounding.
+    before the reduction mod 2pi costs ~1e-13 there.  The coarse and fine
+    tables hold cos and sin at J, r >= 0; an entry at a negative index is
+    read back as cos + i sin, and half of the sampled indices are
+    negative.  Over 500 sampled entries per table on each grid the worst
+    measured 3.1e-16, one rounding.
     """
     mp = pytest.importorskip("mpmath")
     rng = np.random.default_rng(n)
     g = make_grid(lo, hi, n)
     xi = np.sort(rng.uniform(1e-3, 0.95, 257)) * np.pi / g.spacing
     tables = _phase_tables(xi, g)
-    xi, offset, coarse, fine = xi[tables.high], tables.offset, tables.coarse, tables.fine
-    m = fine.shape[1]
-    h, x0 = mp.mpf(g.spacing), mp.mpf(g.x_min)
-    steps = {"offset": lambda c: x0, "coarse": lambda c: h * m * c, "fine": lambda c: h * c}
-    for name, table in (("offset", offset[:, None]), ("coarse", coarse), ("fine", fine)):
-        rows = rng.integers(0, table.shape[0], 400)
-        cols = rng.integers(0, table.shape[1], 400)
+    xi = xi[tables.high]
+    half, top, _ = _split(n)
+    h, x0, c = mp.mpf(g.spacing), mp.mpf(g.x_min), (n - 1) // 2
+
+    def signed(table):
+        # the entry at index j, read by symmetry where j < 0
+        return lambda k, j: table[k, 0, np.abs(j)] - 1j * np.sign(j) * table[k, 1, np.abs(j)]
+
+    assert tables.coarse.shape == (xi.size, 2, top + 1)
+    assert tables.fine.shape == (xi.size, 2, half + 1)
+    for name, entry, size, step in (
+            ("mid", lambda k, j: tables.mid[k], 0, lambda j: x0 + h * c),
+            ("coarse", signed(tables.coarse), top, lambda j: h * (2 * half + 1) * j),
+            ("fine", signed(tables.fine), half, lambda j: h * j)):
+        rows = rng.integers(0, xi.size, 400)
+        cols = rng.integers(-size, size + 1, 400)
+        got = entry(rows, cols)
         with mp.workprec(150):
-            want = np.array([complex(mp.expj(-mp.mpf(xi[k]) * steps[name](int(c))))
-                             for k, c in zip(rows, cols)])
-        assert np.max(np.abs(table[rows, cols] - want)) <= 8e-16, name
+            want = np.array([complex(mp.expj(-mp.mpf(xi[k]) * step(int(j))))
+                             for k, j in zip(rows, cols)])
+        assert np.max(np.abs(got - want)) <= 8e-16, name
 
 
 @pytest.mark.parametrize("lo, hi, n", [
@@ -233,16 +245,20 @@ def test_low_and_high_rows_match_a_long_double_direct_sum(lo, hi, n):
 def test_derived_windows_build_trig_tables_for_a_fifth_of_their_rows():
     """On c05's data (a = 1, [-12, 12), 2048 samples) derive_params runs X
     to 18.5/a, where xi = e^{-37}; 81% of its rows have |xi| R <= _RHO and
-    need no trig table.  The tables hold at most a quarter of the
-    N (ceil(n/m) + m) entries every row once needed (measured 0.20)."""
+    need no trig table.  The other rows hold cos and sin at J, r >= 0 only:
+    24 + 23 pairs a row here, where complex tables over every J and r held
+    46 + 45 entries.  Counting a pair as one entry, the tables hold at most
+    an eighth of the N (ceil(n/m) + m) entries every row once needed
+    (measured 0.11; 0.20 with the complex tables)."""
     g = make_grid(-12.0, 12.0, 2048)
     f0 = reconstruct(SpectralCoefficients(1.0, np.random.default_rng(5).standard_normal(8)), g)
     p = derive_params(1.0, g, f0)
     tables = p.phase_tables
-    N, m = p.X_grid.n, tables.fine.shape[1]
-    entries = sum(getattr(tables, k).size for k in ("offset", "coarse", "fine", "centre"))
-    assert entries <= 0.25 * N * (-(-g.n // m) + m)
-    assert tables.taylor.shape[0] + tables.offset.size == N
+    N, m = p.X_grid.n, 2 * _split(g.n)[0] + 1
+    entries = (tables.mid.size + tables.coarse.size // 2 + tables.fine.size // 2
+               + tables.centre.size)
+    assert entries <= 0.125 * N * (-(-g.n // m) + m)
+    assert tables.taylor.shape[0] + tables.mid.size == N
 
 
 def test_two_prod_is_exact():

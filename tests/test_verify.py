@@ -98,3 +98,12 @@ def test_c11_builds_at_most_25_hermite_tables(hermite_builds):
     reports = verify.check_oscillator_wave()
     assert len(hermite_builds) <= 25
     assert [r.verdict for r in reports if r.verdict != "informational"] == ["pass"] * 3
+
+
+def test_c11_t0_1_row_stays_below_one():
+    """Summation-noise canary: c11's t = 0.1 row is T's phase-sum noise
+    times e^{ax^2/2}, up to ~1e8, and reads 0.41.  It read 7.3 with table
+    angles rounded to double before the reduction mod 2pi, and 1.6e14 with
+    X_NODES = 2048."""
+    reports = {r.check_name: r for r in verify.check_oscillator_wave()}
+    assert reports["oscillator_wave_vs_oracle_t0.1"].metric < 1.0
