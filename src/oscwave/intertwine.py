@@ -17,12 +17,17 @@ Numerical plan, chosen to survive the weight's super-exponential growth:
   edge, where the weight ratio between neighboring samples can reach e^9.
   The sums split by frequency, with R = h(n-1)/2 the x grid's half-width
   (_phase_tables):
-  - rows with |xi| R > _RHO = 0.1: the x grid is uniform, so e^{-i xi x_j}
-    with x_j = x0 + h(mJ + r), m ~ sqrt(n), factors into an offset
-    e^{-i xi x0}, a table in J (n/m columns) and a table in r (m columns).
-    Each direction is then one dense matrix product over 2 sqrt(n)
-    exponentials a row instead of n: the separable, exact counterpart of
-    a nonuniform FFT, with no spreading kernel and no tolerance floor.
+  - rows with |xi| R > _RHO = 0.1: the x grid is uniform, so about its
+    middle node x_mid = x0 + h (n-1)//2 the phase of x_mid + h (mJ + r),
+    m = 2 half + 1 ~ sqrt(n) and |r| <= half, factors into e^{-i xi x_mid},
+    a factor in J and one in r.  cos is even and sin odd, so the tables
+    hold the real cos and sin at J, r >= 0 only: about sqrt(n) pairs a row
+    (47 at n = 2048, where complex tables over every J and r held 91
+    entries).  With the data folded into sums and differences of mirrored
+    entries, each direction is two real matrix products on interleaved
+    (Re, Im) columns that give both signs of xi at once, about a quarter
+    of the complex products' flops: the separable, exact counterpart of a
+    nonuniform FFT, with no spreading kernel and no tolerance floor.
   - rows with |xi| R <= _RHO: with x_c the grid centre and u_j =
     (x_j - x_c)/R in [-1, 1], e^{-i xi x_j} = e^{-i xi x_c}
     sum_{p<P} (-i xi R)^p/p! u_j^p, short of at most _RHO^P/P!; P is the
@@ -35,11 +40,14 @@ Numerical plan, chosen to survive the weight's super-exponential growth:
     of this kind and need no trig table.
   Against a long-double direct sum, xi from 0.95 Nyquist to e^{-37} on
   [-12, 12) (n = 512), [20.5, 61.3) (2048) and [-37.3, 41.9) (4099),
-  complex data: per row within 3.7e-17 h/sqrt(2pi) sum|v| forward
-  (either kind of row) and 5.8e-17 sum|c| inverse, where the factored
-  tables on every row measured 3.7e-17 and 7.6e-17.  The window
-  (IntertwineParams) builds its tables once, so forward and inverse share
-  them, and one set serves both signs of xi through conjugation.  The
+  complex data: per row within 3.8e-17 h/sqrt(2pi) sum|v| forward (either
+  kind of row) and 5.7e-17 sum|c| inverse, where complex tables over every
+  J and r measured 4.4e-17 and 7.1e-17.  With every row through the
+  tables the inverse reads 1.4e-16 (complex tables: 7.0e-17); the excess
+  lies in the rows the moment expansion serves (1.5e-16 against 9.1e-17
+  with data on those rows alone), while data on the other rows alone reads
+  1.1e-16 to 1.6e-16 (0.9e-16 to 1.4e-16).  The window (IntertwineParams)
+  builds its tables once, so forward and inverse share them.  The
   conjugated heat flow reads the spectrum at the contracted nodes
   e^{-2a(X + t)}; with the X step aligned to t these are rows of the same
   set, so a heat call builds one set too (_transport_rows).
@@ -110,28 +118,39 @@ RESIDUAL_TOL = 1.0e-5
 # are built in plain double from exact products, on every platform, and
 # only for the rows with |xi| R > _RHO (the rest expand in moments; see
 # the module docstring):
-# * Step angles.  Each row's steps xi x0, xi h m and xi h are exact Dekker
-#   products (_two_prod; h m is one too), times a two-double 1/2pi, reduced
-#   mod one turn to a 64-bit fixed-point fraction (_turns).  An entry's
-#   angle is then an exact uint64 product, row step times column index,
-#   whose wrap-around mod 2^64 is exact reduction mod 2pi.  The coarse step
-#   is reduced from xi h m itself: m times the fine step in uint64 would
-#   multiply the fine step's rounding by up to n.  A low row's centre
-#   phase e^{-i xi x_c} takes the offset's path with x_c for x0.
+# * Step angles.  Each row's steps xi x0, xi h (n-1)//2, xi h m and xi h
+#   are exact Dekker products (_two_prod; h (n-1)//2 and h m are exact
+#   products too), times a two-double 1/2pi, reduced mod one turn to a
+#   64-bit fixed-point fraction (_turns); the middle node's angle is the
+#   uint64 sum of the first two.  An entry's angle is then an exact uint64
+#   product, row step times column index, whose wrap-around mod 2^64 is
+#   exact reduction mod 2pi.  The coarse step is reduced from xi h m
+#   itself: m times the fine step in uint64 would multiply the fine step's
+#   rounding by up to n.  A low row's centre phase e^{-i xi x_c} takes the
+#   same path with x_c for x0.
 # * Entry angles.  Each entry's int64 turn count times a two-double 2pi/2^64
 #   is formed exactly and rounded once to radians (_unit_phase), in blocks
-#   of rows that stay in cache; the real cos and sin follow.
-# Measured on 2 CPUs (numpy 2.4) against the earlier build, which formed
-# the steps in numpy's long double (80-bit on x86-64 Linux, plain double on
-# Windows and macOS arm64, software quad on aarch64 Linux):
-#   worst entry error against mpmath, 1500 sampled entries per table on
-#   [-37.3, 41.9) (n = 4099 and 2048), [20.5, 61.3) and [-12, 12):
-#     offset, coarse, fine 6.3e-16, 6.5e-16, 3.1e-16 -> 3.1e-16 each
-#   build time at N = 4096, medians of 31 builds interleaved in one
-#   process, two runs: n = 512: 10.3 -> 8.9-9.0 ms; n = 2048: 18.7 ->
-#   16.4-17.3 ms (without the row blocks a build took 24-28 ms at n = 2048)
-#   c11's t = 0.1 and 0.5 rows: 0.41 and 5.78e21 either way; with the
-#   earlier build's long double as plain double they read 1.7e15 and 9.1e23
+#   of rows that stay in cache; the real cos and sin follow, at J, r >= 0.
+# Measured on 2 CPUs (numpy 2.4, OpenBLAS 0.3.31), complex tables over every
+# J and r -> cos and sin at J, r >= 0:
+#   worst entry error against mpmath, 500 sampled entries per table of
+#   either index sign on [-37.3, 41.9) (n = 4099), [20.5, 61.3) (2048) and
+#   [-12, 12) (512): mid, coarse, fine 3.1e-16 each, one rounding
+#   one set for the 4130 rows of a heat window on [-12, 12) (a = 1,
+#   t = 0.4; 788 rows high), medians of 30 builds in one process, two
+#   alternating processes a side: n = 512: 1.60 -> 0.93 ms; n = 2048:
+#   2.36-2.37 -> 1.74-1.75 ms; c04's 512 rows, all high, at n = 2048:
+#   1.60-1.61 -> 1.11-1.12 ms, and its forward sum 0.32 -> 0.22 ms
+#   c11's t = 0.1 and 0.5 rows: 0.41 either way, and 5.78e21 -> 3.85e21,
+#   summation noise amplified by e^{ax^2/2} (it spans 5.38e21 to 5.78e21
+#   over OpenBLAS's kernels with the complex tables)
+# The low rows keep their bits: their moment product stays complex, with
+# powers stored complex once per set instead of cast on every product (a
+# real (Re, Im) product there read 1.3e-17 to 2.9e-17 sum|v| per row
+# against 1.2e-17 to 2.0e-17, n = 500 to 2048).  The forward sum over J is
+# one batched matmul: an einsum took 131 us a c04 call where it takes
+# 64 us (numpy 2's vecdot takes 45 us, but the package supports numpy
+# 1.24).
 # Rejected: rounding each entry as int64 turns times the double nearest
 # 2pi/2^64.  That double sits 3.9e-17 below the true value, so every angle
 # shrinks by the same factor, and e^{ax^2/2} turns the bias into errors of

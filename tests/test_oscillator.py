@@ -678,7 +678,7 @@ def test_heat_times_that_cannot_be_aligned_share_one_build(t, monkeypatch):
 
 def test_a_heat_call_keeps_its_phase_tables_small():
     """One heat_via_intertwining call on c05's 2048-point data at t = 0.4
-    peaked at 4.86 MB of traced memory with complex tables over every J
+    peaked at 4.88 MB of traced memory with complex tables over every J
     and r; with cos and sin at J, r >= 0 only it measures 3.70 MB."""
     u0 = _c05_data(2048)
     p = OscillatorParams(1.0, 0.4)
