@@ -54,6 +54,7 @@ from .intertwine import (
     branch_spectra,
     derive_params,
     intertwine_residual,
+    intertwine_residuals,
     oscillator_apply,
     weight,
 )
@@ -118,6 +119,7 @@ __all__ = [
     "hermite_fn",
     "hermite_table",
     "intertwine_residual",
+    "intertwine_residuals",
     "inverse_ft",
     "make_grid",
     "make_report",

@@ -133,7 +133,13 @@ def wave_dirac(V0, t):
     g = V0.grid
     if t == 0:
         return SampledFunction(g, np.zeros(g.n, dtype=complex))
-    if t / 2.0 >= (g.x_max - g.x_min) / 4.0:
+    return SampledFunction(g, _wave_convolve(V0.values, _wave_taps(g, t), t))
+
+
+def _wave_taps(grid, t):
+    """wave_dirac's tap vector at time t > 0 on grid: taps[reach + j]
+    weighs V0[i + j] in V[i], with 2 reach + 1 taps."""
+    if t / 2.0 >= (grid.x_max - grid.x_min) / 4.0:
         raise ValueError(
             f"integration window t/2 = {t / 2.0:g} exceeds a quarter of "
             "the grid span; enlarge the grid or reduce t"
@@ -150,17 +156,22 @@ def wave_dirac(V0, t):
     u = s * s * t / 2.0
     # offset in samples = whole part + fraction; the stencil for the
     # fraction sits on the samples whole - 3 .. whole + 4
-    shift = np.concatenate([-u, u]) / g.spacing
+    shift = np.concatenate([-u, u]) / grid.spacing
     whole = np.floor(shift)
     lead = _STENCIL // 2 - 1
     taps_at = whole.astype(int)[:, None] - lead + np.arange(_STENCIL)
     weights = np.tile(coef, 2)[:, None] * _lagrange_basis(shift - whole + lead)
     reach = int(np.max(np.abs(taps_at)))
-    taps = np.bincount((taps_at + reach).ravel(), weights=weights.ravel(),
+    return np.bincount((taps_at + reach).ravel(), weights=weights.ravel(),
                        minlength=2 * reach + 1)
+
+
+def _wave_convolve(values, taps, t):
+    """wave_dirac's values at time t from V0's values and _wave_taps(grid, t)."""
+    reach = taps.size // 2
     # V[i] = sum_j taps[reach + j] V0[i + j]: convolve with the reversed taps
-    acc = np.convolve(V0.values, taps[::-1])[reach:reach + g.n]
-    return SampledFunction(g, (2.0 / SQRT_PI) * t * acc)
+    acc = np.convolve(values, taps[::-1])[reach:reach + values.size]
+    return (2.0 / SQRT_PI) * t * acc
 
 
 def spectral_wave_oracle_dirac(V0, t):

@@ -65,17 +65,34 @@ def _xi_grid_for(x_grid):
 
 
 def _check_edge_decay(values, what):
-    peak = np.max(np.abs(values))
-    if peak == 0.0:
-        return
-    edge = max(abs(values[0]), abs(values[-1]))
-    if edge > DECAY_TOL * peak:
-        warnings.warn(
-            f"{what} has not decayed at its grid ends "
-            f"(edge/peak = {edge / peak:.2e})",
-            EdgeDecayWarning,
-            stacklevel=3,
-        )
+    """Warn for each column of values (n samples, or an n x k block) whose
+    ends have not decayed; called from _transform, so the warning points at
+    the caller of the transform's caller."""
+    mag = np.abs(values.reshape(len(values), -1))
+    for first, last, peak in zip(mag[0].tolist(), mag[-1].tolist(), mag.max(axis=0).tolist()):
+        edge = max(first, last)
+        if edge > DECAY_TOL * peak:
+            warnings.warn(
+                f"{what} has not decayed at its grid ends "
+                f"(edge/peak = {edge / peak:.2e})",
+                EdgeDecayWarning,
+                stacklevel=4,
+            )
+
+
+def _transform(values, x_grid, xi_grid, inverse=False):
+    """forward_ft's spectrum of each column of values (n samples on x_grid,
+    or an n x k block of k functions), or with inverse=True inverse_ft's
+    samples of each column of spectrum values on xi_grid, the reciprocal
+    grid of x_grid.  Both keep one convention: the FFT along axis 0 with
+    the amplitude h/sqrt(2pi) and the phase e^{-i xi x_min}."""
+    _check_edge_decay(values, "inverse_ft input" if inverse else "forward_ft input")
+    xi = xi_grid.points.reshape((-1,) + (1,) * (values.ndim - 1))
+    if inverse:
+        return (SQRT_2PI / x_grid.spacing) * np.fft.ifft(
+            np.fft.ifftshift(values * np.exp(1j * xi * x_grid.x_min), axes=0), axis=0)
+    return (x_grid.spacing / SQRT_2PI) * np.exp(-1j * xi * x_grid.x_min) * np.fft.fftshift(
+        np.fft.fft(values, axis=0), axes=0)
 
 
 def forward_ft(f):
@@ -84,25 +101,13 @@ def forward_ft(f):
     Warns (EdgeDecayWarning) when the input has not decayed at the grid
     ends; the transform is still returned.
     """
-    _check_edge_decay(f.values, "forward_ft input")
-    g = f.grid
-    xi_grid = _xi_grid_for(g)
-    xi = xi_grid.points
-    vals = (g.spacing / SQRT_2PI) * np.exp(-1j * xi * g.x_min) * np.fft.fftshift(
-        np.fft.fft(f.values)
-    )
-    return SpectralFunction(xi_grid, vals, g)
+    xi_grid = _xi_grid_for(f.grid)
+    return SpectralFunction(xi_grid, _transform(f.values, f.grid, xi_grid), f.grid)
 
 
 def inverse_ft(F):
     """Transform a SpectralFunction back to its SampledFunction."""
-    _check_edge_decay(F.values, "inverse_ft input")
-    g = F.x_grid
-    xi = F.xi_grid.points
-    vals = (SQRT_2PI / g.spacing) * np.fft.ifft(
-        np.fft.ifftshift(F.values * np.exp(1j * xi * g.x_min))
-    )
-    return SampledFunction(g, vals)
+    return SampledFunction(F.x_grid, _transform(F.values, F.x_grid, F.xi_grid, inverse=True))
 
 
 def spectral_resample(F, scale):

@@ -18,7 +18,7 @@ from .grids import SampledFunction, quadrature_weights
 from .intertwine import (BranchPair, apply_T_inverse, _band_edge,
                          _branch_transform, _damped, _spectral_tail,
                          _transport_rows, _undamped, derive_params, SA_DECAY)
-from .dirac import wave_dirac
+from .dirac import _wave_convolve, _wave_taps
 
 HEAT_KERNEL_VARIANTS = ("mehler", "paper_literal", "paper_corrected")
 
@@ -314,7 +314,7 @@ def heat_ho_spectral_route(u0, p):
     a, t = p.a, p.t
     g = u0.grid
     G = forward_ft(SampledFunction(g, _damped(u0, a)))
-    tail = _spectral_tail(G, _band_edge(g))
+    tail = _spectral_tail(G.values, G.xi_grid.points, _band_edge(g))
     if tail > SA_DECAY:
         raise ValueError(
             f"damped data is not band-limited on this grid "
@@ -368,8 +368,9 @@ def _wave_ho_times(v0, a, times):
     """wave_ho(v0, (a, t)) for each t in times, on one transform window.
 
     The window, its phase tables and the forward transform depend on v0
-    alone, so they are built once; only wave_dirac and the inverse run
-    per time.  Each result equals its own wave_ho call bit for bit.
+    alone, so they are built once; per time, wave_dirac's taps are built
+    once and convolved with both branches, and the inverse runs.  Each
+    result equals its own wave_ho call bit for bit.
     """
     out = [SampledFunction(v0.grid, np.zeros(v0.grid.n, dtype=complex)) for _ in times]
     live = [k for k, t in enumerate(times) if t != 0]
@@ -379,5 +380,9 @@ def _wave_ho_times(v0, a, times):
     b = _branch_transform(_damped(v0, a), ip)
     for k in live:
         t = times[k]
-        out[k] = apply_T_inverse(BranchPair(wave_dirac(b.plus, t), wave_dirac(b.minus, t)), ip)
+        # wave_dirac on each branch, from one tap vector
+        taps = _wave_taps(ip.X_grid, t)
+        out[k] = apply_T_inverse(BranchPair(
+            *(SampledFunction(ip.X_grid, _wave_convolve(side.values, taps, t))
+              for side in (b.plus, b.minus))), ip)
     return out

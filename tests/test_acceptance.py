@@ -155,11 +155,11 @@ def test_c04_keeps_the_residual_grading(monkeypatch):
     from oscwave import verify
     from oscwave.grids import make_report
 
-    def unresolved(phi, p):
-        return make_report("intertwine_residual", 0.5, 1.0e-5,
-                           informational=True, notes="unresolved")
+    def unresolved(phis, p):
+        return [make_report("intertwine_residual", 0.5, 1.0e-5,
+                            informational=True, notes="unresolved") for _ in phis]
 
-    monkeypatch.setattr(verify, "intertwine_residual", unresolved)
+    monkeypatch.setattr(verify, "intertwine_residuals", unresolved)
     reports = CHECKS["intertwining_residual"]()
     assert len(reports) == 8
     for r in reports:

@@ -374,6 +374,21 @@ def test_oracle_routes_are_byte_identical_across_processes(tmp_path, sub, route,
     assert len(first.splitlines()) == 1 + 512
 
 
+@pytest.mark.parametrize("args", [
+    pytest.param(("kernel", "--variant", "mehler", "--a", "1.0", "--t", "0.4",
+                  "--grid", "-4,4,112"), id="kernel"),
+    pytest.param(("grushin-heat", "--t", "0.5", "--grid", "-1,1,16", "--dy", "0.3"),
+                 id="grushin-dy0.3"),
+    pytest.param(("grushin-heat", "--t", "0.5", "--grid", "-1,1,16", "--dy", "20"),
+                 id="grushin-dy20")])
+def test_matrix_dumps_are_byte_identical_across_processes(tmp_path, args):
+    """The kernel matrix and the Grushin kernel's lambda quadrature are the
+    same file in two processes."""
+    first, second = _bytes_of_two_runs(tmp_path, args[0], *args)
+    assert first == second
+    assert len(first.splitlines()) > 1
+
+
 def test_verify_exit_code_two_on_failure(tmp_path):
     def _always_fails():
         return [VerificationReport("always_fails", 1.0, 1e-6, "fail", "synthetic")]

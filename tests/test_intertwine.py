@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from oscwave import (
     forward_ft,
     hermite_fn,
     intertwine_residual,
+    intertwine_residuals,
     inverse_ft,
     make_grid,
     oscillator_apply,
@@ -27,7 +29,7 @@ from oscwave import (
 from oscwave.fourier import EdgeDecayWarning, SpectralFunction
 from oscwave.intertwine import (_INV_2PI, _RAD_PER_UNIT, _RHO, _branch_transform,
                                 _centered_d, _damped, _inverse_phase_sums, _phase_sums,
-                                _phase_tables, _split, _two_prod)
+                                _phase_tables, _split, _transport_rows, _two_prod)
 
 GRID = make_grid(-12.0, 12.0, 2048)
 X = GRID.points
@@ -132,6 +134,111 @@ def test_factorized_phase_sums_match_a_long_double_direct_sum(n_x):
     zero = np.zeros(n_xi, dtype=complex)
     assert_close(_inverse_phase_sums(g, xi, c, zero, tables), c @ phases.conj())
     assert_close(_inverse_phase_sums(g, xi, zero, c, tables), c @ phases)
+
+
+def test_n_samples_sum_as_the_n_by_1_block():
+    """A 1-D call is the k = 1 block of the one code path: on a heat
+    window's shared rows (high and low) both give the same bits."""
+    g = make_grid(-12.0, 12.0, 512)
+    f0 = reconstruct(SpectralCoefficients(1.0, np.random.default_rng(5).standard_normal(8)), g)
+    _, xi, tables = _transport_rows(derive_params(1.0, g, f0), 0.4)
+    assert tables.high.size and tables.low.size
+    damped = _damped(f0, 1.0)
+    for column, block in zip(_phase_sums(damped, g, xi, tables),
+                             _phase_sums(damped[:, None], g, xi, tables)):
+        assert column.shape == (xi.size,) and block.shape == (xi.size, 1)
+        assert np.array_equal(column, block[:, 0])
+
+
+@pytest.mark.parametrize("n_x", [8, 257, 1000])
+def test_each_column_of_a_block_matches_a_long_double_direct_sum(n_x):
+    """The bound of test_factorized_phase_sums_match_a_long_double_direct_sum
+    per column of a 3-column block of complex, uneven data, with rows of
+    both kinds: the frequencies there, and as many with |xi| R <= _RHO."""
+    rng = np.random.default_rng(n_x)
+    g = make_grid(-3.3, 5.1, n_x)
+    R = g.spacing * (0.5 * (n_x - 1))
+    xi = np.sort(np.concatenate([rng.uniform(0.02, 0.9, 63) * np.pi / g.spacing,
+                                 rng.uniform(0.0, _RHO, 63) / R]))
+    ld = np.longdouble
+    theta = np.multiply.outer(xi.astype(ld), ld(g.x_min) + ld(g.spacing) * np.arange(n_x))
+    phases = np.cos(theta) - 1j * np.sin(theta)
+    tables = _phase_tables(xi, g)
+    assert tables.high.size == tables.low.size == 63
+
+    def assert_close(got, want):
+        want = want.astype(complex)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    block = rng.normal(size=(n_x, 3)) + 1j * rng.normal(size=(n_x, 3))
+    scale = g.spacing / np.sqrt(2.0 * np.pi)
+    g_plus, g_minus = _phase_sums(block, g, xi, tables)
+    assert g_plus.shape == g_minus.shape == (xi.size, 3)
+    for c in range(3):
+        assert_close(g_plus[:, c], scale * (phases @ block[:, c]))
+        assert_close(g_minus[:, c], scale * (phases.conj() @ block[:, c]))
+
+
+def test_a_window_without_low_rows_skips_the_moment_product():
+    """c04's windows (512 rows, all high at n = 2048) have no low rows, so
+    the forward sum forms no moment product: a table set without powers
+    still sums, to the same bits."""
+    p = IntertwineParams(0.5, GRID, make_grid(0.0, 0.3, 512))
+    tables = p.phase_tables
+    assert tables.low.size == 0
+    values = hermite_fn(1, 0.5, X) * np.exp(-0.25 * X**2) * (1.0 + 0.5j)
+    want = _phase_sums(values, GRID, p.xi_nodes, tables)
+    got = _phase_sums(values, GRID, p.xi_nodes, tables._replace(powers=None))
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def test_batched_residuals_report_as_one_function_calls():
+    """intertwine_residuals sums every function's two sides as one block;
+    each report keeps the verdict of its one-function call, with the
+    metric within 1e-6 relative (the block sums in another order)."""
+    p = IntertwineParams(1.0, GRID, make_grid(0.0, 0.3, 512))
+    mix = reconstruct(SpectralCoefficients(1.0, np.random.default_rng(3).standard_normal(6)), GRID)
+    phis = [SampledFunction(GRID, hermite_fn(k, 1.0, X).astype(complex)) for k in range(3)]
+    phis.append(mix)
+    batched = intertwine_residuals(phis, p)
+    assert len(batched) == len(phis)
+    for phi, rep in zip(phis, batched):
+        one = intertwine_residual(phi, p)
+        assert (rep.check_name, rep.verdict, rep.tolerance) == (
+            one.check_name, one.verdict, one.tolerance)
+        assert abs(rep.metric - one.metric) <= 1e-6 * one.metric
+
+
+def test_an_unresolved_column_warns_alone():
+    """Among resolved neighbours, only the unresolved function warns, with
+    the one-function call's warnings (the residual's own, once, and its
+    spectrum's EdgeDecayWarning), and only its report turns
+    informational."""
+    g = make_grid(-12.0, 12.0, 256)
+    p = IntertwineParams(1.0, g, make_grid(0.0, 0.3, 128))
+    ground = SampledFunction(g, np.exp(-(g.points**2) / 2).astype(complex))
+    sharp = SampledFunction(g, np.exp(-20 * g.points**2).astype(complex))
+
+    def warned(call):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = call()
+        return result, sorted((w.category.__name__, str(w.message)) for w in caught)
+
+    alone, single = warned(lambda: intertwine_residual(sharp, p))
+    reports, batched = warned(lambda: intertwine_residuals([ground, sharp, ground], p))
+    assert [c for c, _ in single].count("UserWarning") == 1
+    assert batched == single
+    assert [r.verdict for r in reports] == ["pass", "informational", "pass"]
+    assert reports[1].notes == alone.notes
+
+
+def test_batched_residuals_refuse_functions_off_the_window_grid():
+    p = IntertwineParams(1.0, GRID, make_grid(0.0, 0.3, 512))
+    other = make_grid(-10.0, 10.0, 2048)
+    with pytest.raises(ValueError, match="x grid"):
+        intertwine_residuals([SampledFunction(other, np.exp(-other.points**2 / 2))], p)
 
 
 @pytest.mark.parametrize("lo, hi, n", [

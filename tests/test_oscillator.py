@@ -22,6 +22,7 @@ from oscwave import (
     make_grid,
     reconstruct,
     rel_l2_error,
+    wave_dirac,
     wave_ho,
     wave_oracle,
 )
@@ -605,6 +606,32 @@ def test_wave_times_share_one_window_and_forward_transform(monkeypatch):
     assert builds == [intertwine.X_NODES] and len(forwards) == 1
     for got, want in zip(shared, separate):
         assert np.array_equal(got.values, want)
+
+
+def test_wave_times_build_one_tap_vector_per_time(monkeypatch):
+    """Per time, _wave_ho_times builds wave_dirac's taps once and convolves
+    both branches with them; each result is still the inverse of
+    wave_dirac on each branch, bit for bit."""
+    g = make_grid(-8.0, 8.0, 256)
+    v0 = SampledFunction(g, (np.exp(-g.points**2) * (1.0 - 0.5j * g.points)).astype(complex))
+    times = (1.0e-3, 0.1, 0.5)
+    ip = intertwine.derive_params(1.0, g, v0)
+    b = intertwine._branch_transform(intertwine._damped(v0, 1.0), ip)
+    want = [intertwine.apply_T_inverse(
+        intertwine.BranchPair(wave_dirac(b.plus, t), wave_dirac(b.minus, t)), ip).values
+        for t in times]
+    builds = []
+    wave_taps = oscillator._wave_taps
+
+    def counted(grid, t):
+        builds.append(t)
+        return wave_taps(grid, t)
+
+    monkeypatch.setattr(oscillator, "_wave_taps", counted)
+    got = _wave_ho_times(v0, 1.0, times)
+    assert builds == list(times)
+    for g_k, w_k in zip(got, want):
+        assert np.array_equal(g_k.values, w_k)
 
 
 def test_wave_branches_equal_the_guarded_transform_on_derived_windows(monkeypatch):
