@@ -435,7 +435,7 @@ def _phase_sums(values, x_grid, xi_targets, tables):
     return (g_plus * scale).reshape(shape), (g_minus * scale).reshape(shape)
 
 
-def _inverse_phase_sums(x_grid, xi, c_plus, c_minus, tables):
+def _inverse_phase_sums(x_grid, c_plus, c_minus, tables):
     """sum_k c_plus_k e^{+i xi_k x_j} + c_minus_k e^{-i xi_k x_j} per x_j;
     tables are _phase_tables(xi, x_grid)."""
     n = x_grid.n
@@ -618,7 +618,7 @@ def apply_T_inverse(b, p, mask_floor=1.0e-15):
             )
     xi = p.xi_nodes
     # trapezoid end corrections vanish against the decayed integrand
-    damped = _inverse_phase_sums(p.x_grid, xi, xi * g_plus, xi * g_minus, p.phase_tables)
+    damped = _inverse_phase_sums(p.x_grid, xi * g_plus, xi * g_minus, p.phase_tables)
     return _undamped(p.x_grid, damped * (2.0 * a * p.X_grid.spacing / SQRT_2PI), a, mask_floor)
 
 

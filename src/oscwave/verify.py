@@ -21,9 +21,8 @@ from .hermite import (SpectralCoefficients, expand, hermite_fn, hermite_table,
                       reconstruct, wave_energy, wave_oracle)
 from .intertwine import IntertwineParams, intertwine_residuals
 from .oscillator import (OscillatorParams, _log_corrected, _log_mehler,
-                         _mehler_terms, _wave_ho_times, heat_kernel,
-                         heat_ho_kernel_route, heat_ho_spectral_route,
-                         heat_via_intertwining)
+                         _wave_ho_times, heat_kernel, heat_ho_kernel_route,
+                         heat_ho_spectral_route, heat_via_intertwining)
 from .special import SQRT_PI, erfc_paper, tricomi_u, tricomi_u_deriv
 
 CHECKS = {}
@@ -83,56 +82,23 @@ def check_heat_kernel_reconciliation():
     return reports
 
 
-# c02's fine quadrature nodes per anchor: its 4096 nodes split as 64 x 64
-_C02_SPLIT = 64
-
-
-def _mehler_quadrature(p, xs, fine, f):
-    """sum_j K(x_i, y_j) f_j for the Mehler kernel K on the fine grid's
-    nodes y_j, from a coarse kernel table and one matrix product.
-
-    With j = m q + r, y_j = y_q + d_r (y_q every m-th node, d_r = r h), and
-    log K a quadratic form in y,
-
-        K(x, y_q + d) = K(x, y_q) e^{B x d} e^{beta (2 y_q d + d^2)},
-
-    beta = -(a/2) coth 2at, B = a / sinh 2at.  So the sum is
-    sum_q C_iq (F V)_iq with the public closed form C_iq = K(x_i, y_q),
-    F_ir = e^{B x_i d_r} and V_rq = f_{mq+r} e^{beta (2 y_q d_r + d_r^2)}:
-    2 m len(xs) + m^2 exponentials, not len(xs) * n.  Anchoring each block
-    at its own node keeps every exponent of F and V below ~6 in magnitude
-    on c02's grids, so the sum stays as accurate as the dense one.
-    """
-    m = _C02_SPLIT
-    anchors = fine.points[::m]
-    d = fine.spacing * np.arange(m)
-    _, coth, inv_sinh = _mehler_terms(p.a, p.t)
-    beta = -0.5 * p.a * coth
-    C = heat_kernel("mehler", p, xs[:, None], anchors)
-    F = np.exp((p.a * inv_sinh) * xs[:, None] * d)
-    V = f.reshape(-1, m).T * np.exp(beta * (2.0 * anchors + d[:, None])
-                                    * d[:, None])
-    return np.einsum("iq,iq->i", C, F @ V)
-
-
 @_register("heat_pde_residual")
 def check_heat_pde_residual():
     """Mehler-propagated Gaussian satisfies the oscillator heat equation
     at second order under joint grid/step refinement.
 
-    Each snapshot is the Mehler quadrature of the Gaussian over 4096 fine
-    nodes, summed by ``_mehler_quadrature`` from a table of the closed form
-    at every 64th node.  On c02's three target grids at t = 0.28, 0.3 and
-    0.32 it is within 2.1e-15 (pointwise relative) of a long-double dense
-    sum, as close as the dense double sum it replaced (2.1e-15), and within
-    2.0e-15 of that dense sum.
+    Each snapshot is the kernel route, heat_ho_kernel_route, applied to
+    e^{-x^2} sampled on that level's own grid [-6, 6), where the data has
+    decayed to e^{-36} at the ends.  On c02's three grids at t = 0.28, 0.3
+    and 0.32 it is within 3.0e-15 (pointwise relative) of a long-double
+    dense Mehler sum over the same nodes.
     """
     a = 1.0
-    fine = make_grid(-10.0, 10.0, 4096)
-    f = quadrature_weights(fine.n) * fine.spacing * np.exp(-fine.points ** 2)
 
     def solution(t, xs):
-        return _mehler_quadrature(OscillatorParams(a, t), xs, fine, f)
+        g = make_grid(-6.0, 6.0, xs.size)
+        u0 = SampledFunction(g, np.exp(-g.points ** 2).astype(complex))
+        return heat_ho_kernel_route(u0, OscillatorParams(a, t)).values
 
     order = residual_convergence_order(
         solution, "heat_ho", 0.3, a, make_grid(-6.0, 6.0, 192), 0.02)
@@ -327,8 +293,10 @@ def check_dirac_wave_initial_conditions():
         notes="deficit / sqrt(t) at t=1e-4; the closed-form windowed-wave "
               "deficit D(t) = (2/sqrt(pi))[erf_p(c) + c e^{-c^2}] - "
               "(4/sqrt(pi)) c^2 erfc_paper(c), c = sqrt(t/2), erf_p(c) = "
-              "int_0^c e^{-s^2} ds, gives D(1e-4)/sqrt(1e-4) = 1.5858; "
-              "~1.596 is its t -> 0 limit 2 sqrt(2/pi)"))
+              "int_0^c e^{-s^2} ds, gives D(1e-4)/sqrt(1e-4) = "
+              f"{_wave_deficit(ts[-1]) / math.sqrt(ts[-1]):.4f}; "
+              f"~{2.0 * math.sqrt(2.0 / math.pi):.3f} is its t -> 0 limit "
+              "2 sqrt(2/pi)"))
     gap = max(abs(d / _wave_deficit(t) - 1.0) for t, d in zip(ts, deficits))
     # the gaps read 9.2e-11, 4.4e-7 and 1.57e-5 at t = 1e-2, 1e-3 and 1e-4
     # (sigma-Simpson's error in the boundary layer at sigma ~ sqrt(t/2)),
@@ -366,8 +334,8 @@ def check_dirac_wave_vs_oracle():
         f"dirac_wave_vs_oracle_t{t:g}", dev, 0.0, informational=True,
         notes="relative L2 deviation of the printed solution from the "
               "spectral oracle"
-              + ("; the windowed-wave deficit D(1e-3) = 0.049471 (see "
-                 "dirac_wave_deficit_constant)" if t == 1.0e-3 else ""))
+              + (f"; the windowed-wave deficit D(1e-3) = {_wave_deficit(t):.6f} "
+                 "(see dirac_wave_deficit_constant)" if t == 1.0e-3 else ""))
         for t, dev in rows]
     reports.append(make_report(
         "dirac_wave_oracle_smallt", rows[0][1], 0.1,
@@ -426,7 +394,7 @@ def check_oscillator_wave():
                 "oscillator_wave_smallt_row", dev, 5.0e-2,
                 notes="corrected route vs oracle at t=1e-3; the windowed "
                       "kernel's sqrt(t) deficit dominates: D(1e-3) = "
-                      "0.049471 (see dirac_wave_deficit_constant)"))
+                      f"{_wave_deficit(t):.6f} (see dirac_wave_deficit_constant)"))
         else:
             reports.append(make_report(
                 f"oscillator_wave_vs_oracle_t{t:g}", dev, 0.0,

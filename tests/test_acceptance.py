@@ -138,7 +138,8 @@ def test_total_runtime_within_budget(acceptance, capsys):
     assert total <= TOTAL_BUDGET
 
 
-@pytest.mark.parametrize("name", ["heat_route_equivalence", "eigenfunction_decay",
+@pytest.mark.parametrize("name", ["heat_pde_residual", "heat_route_equivalence",
+                                  "eigenfunction_decay",
                                   "dirac_wave_initial_conditions"])
 def test_checks_run_without_warnings(name):
     """On their fixed data these checks raise no warning; one that starts

@@ -357,7 +357,9 @@ def test_verify_report_is_byte_identical_across_processes(tmp_path):
     pytest.param("wave-ho", "oracle", "0.4", id="wave-ho"),
     pytest.param("heat-ho", "intertwine", "0.4", id="heat-ho-intertwine-t0.4"),
     pytest.param("heat-ho", "intertwine", "1e-3", id="heat-ho-intertwine-t1e-3"),
-    pytest.param("wave-ho", "direct", "0.4", id="wave-ho-direct")])
+    pytest.param("wave-ho", "direct", "0.4", id="wave-ho-direct"),
+    pytest.param("heat-ho", "spectral", "0.4", id="heat-ho-spectral"),
+    pytest.param("heat-ho", "kernel", "0.4", id="heat-ho-kernel")])
 def test_oracle_routes_are_byte_identical_across_processes(tmp_path, sub, route, t):
     """The Hermite oracles project and synthesize through real BLAS
     products, and the routes through T sum their phases in real BLAS

@@ -399,6 +399,30 @@ def test_fixed_and_exponent_forms_switch_where_printf_does():
     assert _lines(values) == _printf_lines(values)
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(None, id="function-dump"),
+    pytest.param(["kernel", "--variant", "mehler", "--a", "1.0", "--t", "0.4",
+                  "--grid", "-4,4,112"], id="kernel"),
+    pytest.param(["heat-ho", "--route", "intertwine", "--a", "1.0", "--t", "0.4",
+                  "--input", "{dump}"], id="heat-ho-intertwine")])
+def test_cli_files_equal_a_per_field_17g_rendering(tmp_path, argv):
+    """A 2048-point function dump and two CLI outputs are, byte for byte,
+    %.17g of each value they hold: the writer's exponent guess leans on the
+    platform's log10, and a value whose digits it cannot certify must
+    print by %.17g, never otherwise."""
+    g = make_grid(-12.0, 12.0, 2048)
+    coeffs = SpectralCoefficients(1.0, np.random.default_rng(5).standard_normal(8))
+    dump = out = tmp_path / "in.csv"
+    write_function_csv(reconstruct(coeffs, g), dump)
+    if argv is not None:
+        out = tmp_path / "out.csv"
+        args = [arg.format(dump=dump) for arg in argv]
+        assert main(args + ["--output", str(out)]) == 0
+    header, _ = out.read_bytes().split(b"\r\n", 1)
+    values = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+    assert out.read_bytes() == _reference_bytes(header.decode(), values.T)
+
+
 def test_heat_output_renders_without_the_slow_lane(tmp_path, monkeypatch):
     """Every value of a seeded heat-ho output takes the vectorized path: a
     writer that printed every value by %.17g would pass the byte tests

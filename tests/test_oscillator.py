@@ -759,9 +759,9 @@ def test_shared_rows_match_a_long_double_direct_sum():
     zero = np.zeros(X.n, dtype=complex)
     inverse = phases(window.xi_nodes)
     assert_close(intertwine._inverse_phase_sums(
-        g, window.xi_nodes, c, zero, window.phase_tables), c @ inverse.conj())
+        g, c, zero, window.phase_tables), c @ inverse.conj())
     assert_close(intertwine._inverse_phase_sums(
-        g, window.xi_nodes, zero, c, window.phase_tables), c @ inverse)
+        g, zero, c, window.phase_tables), c @ inverse)
 
 
 def test_conjugated_wave_keeps_its_phase_tables_unbiased():

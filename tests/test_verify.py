@@ -1,35 +1,43 @@
 """The numerical helpers behind individual verification checks."""
 
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
-from oscwave import verify
-from oscwave.grids import make_grid, quadrature_weights
-from oscwave.oscillator import OscillatorParams, heat_kernel
+from oscwave import oscillator, verify
+from oscwave.grids import SampledFunction, make_grid, quadrature_weights
+from oscwave.oscillator import OscillatorParams, heat_ho_kernel_route, heat_kernel
 
-# c02's fine quadrature grid and weighted Gaussian data, and its three
-# target grids (one per refinement level)
-FINE = make_grid(-10.0, 10.0, 4096)
-DATA = quadrature_weights(FINE.n) * FINE.spacing * np.exp(-FINE.points ** 2)
-TARGETS = [make_grid(-6.0, 6.0, 192 * 2 ** k).points for k in range(3)]
+# c02's three grids, one per refinement level
+GRIDS = [make_grid(-6.0, 6.0, 192 * 2 ** k) for k in range(3)]
 
 
-def _long_double_sum(t, xs):
-    """sum_j K(x_i, y_j) DATA_j with the Mehler kernel and the sum in long
-    double, a block of target rows at a time."""
+def _snapshot(t, g):
+    """c02's snapshot at time t on grid g: the kernel route on e^{-x^2}."""
+    u0 = SampledFunction(g, np.exp(-g.points ** 2).astype(complex))
+    return heat_ho_kernel_route(u0, OscillatorParams(1.0, t)).values
+
+
+def _weighted_data(g):
+    return quadrature_weights(g.n) * g.spacing * np.exp(-g.points ** 2)
+
+
+def _long_double_sum(t, g):
+    """sum_j K(x_i, x_j) w_j e^{-x_j^2} over g's own nodes, with the
+    Mehler kernel and the sum in long double, a block of rows at a time."""
     L = np.longdouble
     a, t = L(1), L(t)
     s = np.sinh(2 * a * t)
     coth = np.cosh(2 * a * t) / s
     pref = np.sqrt(a / (2 * L(np.pi) * s))
-    y = FINE.points.astype(L)
-    f = DATA.astype(L)
-    out = np.empty(xs.size, dtype=L)
-    for i in range(0, xs.size, 128):
-        x = xs[i:i + 128].astype(L)[:, None]
+    y = g.points.astype(L)
+    f = _weighted_data(g).astype(L)
+    out = np.empty(g.n, dtype=L)
+    for i in range(0, g.n, 128):
+        x = y[i:i + 128, None]
         K = pref * np.exp(-(a / 2) * coth * (x * x + y * y) + a * x * y / s)
         out[i:i + 128] = np.sum(K * f, axis=1)
     return out
@@ -37,39 +45,43 @@ def _long_double_sum(t, xs):
 
 @pytest.mark.parametrize("t", [0.28, 0.30, 0.32])
 def test_c02_quadrature_matches_a_long_double_dense_sum(t):
-    # measured: <= 2.1e-15, as close as the dense double sum (2.1e-15)
-    p = OscillatorParams(1.0, t)
-    # the coarser target grids are every 2nd and 4th node of the finest
-    finest = _long_double_sum(t, TARGETS[-1])
-    for k, xs in enumerate(TARGETS):
-        assert np.array_equal(xs, TARGETS[-1][::2 ** (2 - k)])
-        ref = finest[::2 ** (2 - k)]
-        got = verify._mehler_quadrature(p, xs, FINE, DATA)
+    # measured: <= 3.0e-15
+    for g in GRIDS:
+        ref = _long_double_sum(t, g)
+        got = _snapshot(t, g)
         assert np.max(np.abs((got - ref) / ref)) <= 4.0e-15
 
 
 @pytest.mark.parametrize("t", [0.28, 0.30, 0.32])
 def test_c02_quadrature_matches_the_dense_kernel_contraction(t):
-    # measured: <= 2.0e-15
+    # measured: <= 3.1e-15
     p = OscillatorParams(1.0, t)
-    for xs in TARGETS:
-        dense = heat_kernel("mehler", p, xs[:, None], FINE.points) @ DATA
-        got = verify._mehler_quadrature(p, xs, FINE, DATA)
+    for g in GRIDS:
+        dense = heat_kernel("mehler", p, g.points[:, None], g.points) @ _weighted_data(g)
+        got = _snapshot(t, g)
         assert np.max(np.abs((got - dense) / dense)) <= 4.0e-15
 
 
-def test_c02_evaluates_the_kernel_on_a_coarse_table_only(monkeypatch):
-    shapes = []
+def test_c02_propagates_by_the_kernel_route_alone(monkeypatch):
+    sizes = []
 
-    def recording(variant, p, x, xp):
-        shapes.append(np.broadcast(x, xp).shape)
-        return heat_kernel(variant, p, x, xp)
+    def recording(u0, p):
+        # the snapshots the two tests above grade
+        assert u0.grid == make_grid(-6.0, 6.0, u0.grid.n) and p.a == 1.0
+        assert np.array_equal(u0.values, np.exp(-u0.grid.points ** 2))
+        sizes.append(u0.grid.n)
+        return heat_ho_kernel_route(u0, p)
 
-    monkeypatch.setattr(verify, "heat_kernel", recording)
+    def refused(*args):
+        raise AssertionError("c02 evaluated heat_kernel")
+
+    monkeypatch.setattr(verify, "heat_ho_kernel_route", recording)
+    monkeypatch.setattr(verify, "heat_kernel", refused)
+    monkeypatch.setattr(oscillator, "heat_kernel", refused)
     (report,) = verify.CHECKS["heat_pde_residual"]()
     assert report.verdict == "pass"
-    # three snapshots (t - dt, t, t + dt) on each of the three target grids
-    assert sorted(shapes) == sorted(3 * [(xs.size, 64) for xs in TARGETS])
+    # three snapshots (t - dt, t, t + dt) on each level's grid
+    assert sorted(sizes) == sorted(3 * [g.n for g in GRIDS])
 
 
 @pytest.mark.parametrize("t", [1.0e-2, 1.0e-3, 1.0e-4, 0.5])
@@ -107,3 +119,14 @@ def test_c11_t0_1_row_stays_below_one():
     X_NODES = 2048."""
     reports = {r.check_name: r for r in verify.check_oscillator_wave()}
     assert reports["oscillator_wave_vs_oracle_t0.1"].metric < 1.0
+
+
+def test_readme_quotes_c11_rows_to_the_digits_it_prints():
+    """README quotes c11's wave rows as 0.0495, 0.41 and about 4e21; the
+    last is summation noise, so only its order of magnitude is quoted."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert "0.0495, 0.41 and about 4e21 for the conjugated form" in " ".join(readme.split())
+    reports = {r.check_name: r.metric for r in verify.check_oscillator_wave()}
+    assert f"{reports['oscillator_wave_smallt_row']:.3g}" == "0.0495"
+    assert f"{reports['oscillator_wave_vs_oracle_t0.1']:.2g}" == "0.41"
+    assert math.floor(math.log10(reports["oscillator_wave_vs_oracle_t0.5"])) == 21
