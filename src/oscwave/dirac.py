@@ -100,13 +100,17 @@ def wave_kernel_forms(t, X, Xp):
 def _lagrange_basis(s):
     """The Lagrange basis on the nodes 0.._STENCIL-1 evaluated at each s,
     shape (len(s), _STENCIL).  The product form has no division by
-    (s - node), so exact node hits are harmless."""
-    diffs = s[:, None] - np.arange(_STENCIL)
+    (s - node), so exact node hits are harmless.  Column i is the product
+    of (s - j)/(i - j) in increasing j, one node j at a time for all
+    columns, with an exact factor 1 at j = i."""
+    nodes = np.arange(_STENCIL)
     basis = np.ones((s.size, _STENCIL))
-    for i in range(_STENCIL):
-        for j in range(_STENCIL):
-            if j != i:
-                basis[:, i] *= diffs[:, j] / (i - j)
+    for j in range(_STENCIL):
+        gaps = nodes - j
+        gaps[j] = 1
+        factors = (s - j)[:, None] / gaps
+        factors[:, j] = 1.0
+        basis *= factors
     return basis
 
 

@@ -78,7 +78,10 @@ def hermite_table(n_max, a, x):
     if n_max >= 1:
         out[1] = np.sqrt(2.0) * y * out[0]
     # h_{n+1} = sqrt(2/(n+1)) y h_n - sqrt(n/(n+1)) h_{n-1}, written into
-    # its row in place, in that order of operations
+    # its row in place, in that order of operations.  Rejected: the
+    # products y sqrt(2/(n+1)) as one precomputed table, the same bits but
+    # 0.64 -> 1.96 ms at 128 modes x 2048 points (2 CPUs, numpy 2.4), for
+    # its 2 MB temporary
     n = np.arange(1, n_max)
     up = np.sqrt(2.0 / (n + 1))
     down = np.sqrt(n / (n + 1.0))

@@ -154,6 +154,14 @@ RESIDUAL_TOL = 1.0e-5
 #   c11's t = 0.1 and 0.5 rows: 0.41 either way, and 5.78e21 -> 3.85e21,
 #   summation noise amplified by e^{ax^2/2} (it spans 5.38e21 to 5.78e21
 #   over OpenBLAS's kernels with the complex tables)
+# The same build with its angles formed in place (_unit_phase) and the low
+# rows' tables by running products on contiguous buffers
+# (_moment_expansion) in place of np.cumprod and np.vander along their
+# 11-wide axis: the same operations in the same order, so the same bits.
+# Medians of 60 builds, four alternating processes a side (2 CPUs, numpy
+# 2.4): the 4130 rows of a heat window at n = 2048 2.58 -> 2.31 ms, c04's
+# 512 rows at n = 2048 1.39 -> 1.21 ms.  cos and sin are now most of a
+# build (_unit_phase).
 # The low rows keep their bits: their moment product stays complex, with
 # powers stored complex once per set instead of cast on every product (a
 # real (Re, Im) product there read 1.3e-17 to 2.9e-17 sum|v| per row
@@ -186,6 +194,18 @@ _INV_2PI = (0.15915494309189535, -9.839338337591243e-18)
 _RAD_PER_UNIT = (2.0 * math.pi / 2.0**64, 2.4492935982947064e-16 / 2.0**64)
 
 
+def _veltkamp(c):
+    """The Veltkamp split (c1, c2) of a double c that _two_prod makes of a
+    factor: c1 + c2 = c, each with at most 26 significant bits."""
+    cc = 134217729.0 * c
+    c1 = cc - (cc - c)
+    return c1, c - c1
+
+
+# _RAD_PER_UNIT[0] split once, for _unit_phase's products
+_RAD_SPLIT = _veltkamp(_RAD_PER_UNIT[0])
+
+
 def _turns(hi, lo):
     """Angles hi + lo (rad, two doubles) as uint64 fractions of a turn."""
     t, e = _two_prod(hi, _INV_2PI[0])
@@ -202,16 +222,42 @@ def _unit_phase(turns):
     rounded once to radians, side by side on a new axis 1: out[:, 0] is the
     real part of e^{-i theta} and out[:, 1] minus its imaginary part."""
     out = np.empty(turns.shape[:1] + (2,) + turns.shape[1:])
-    # row blocks of about 8192 entries, whose temporaries stay in cache
+    # row blocks of about 8192 entries, each worked in place on five
+    # buffers that stay in cache: 1.53 -> 1.09 ms on 769 x 46 turns against
+    # a new array per operation.  What is left is mostly cos and sin, about
+    # 10 ns an entry on [-pi, pi] against 0.9 ns for exp (2 CPUs, numpy
+    # 2.4).  Rejected: a polynomial in numpy in their place; twelve Horner
+    # steps in theta^2 alone, before any range reduction or sin, took 7.2 ns
+    # an entry
     blocks = max(1, turns.size // 8192)
+    row = math.prod(turns.shape[1:])
+    buffers = np.empty((5, -(-turns.shape[0] // blocks) * row))
+    c1, c2 = _RAD_SPLIT
     for k, part in zip(np.array_split(turns.view(np.int64), blocks),
                        np.array_split(out, blocks)):
+        hi, theta, a1, a2, e = (b[:k.size].reshape(k.shape) for b in buffers)
         # k = hi + lo with lo its low 11 bits, so hi has at most 52
         # significant bits and both parts convert to double exactly
         lo = k & 2047
-        hi = (k - lo).astype(float)
-        p, e = _two_prod(hi, _RAD_PER_UNIT[0])
-        theta = p + (e + (hi * _RAD_PER_UNIT[1] + lo * _RAD_PER_UNIT[0]))
+        hi[...] = k & -2048
+        # theta = p + (e + (hi _RAD_PER_UNIT[1] + lo _RAD_PER_UNIT[0])),
+        # with p + e = hi _RAD_PER_UNIT[0] exactly, by _two_prod's steps
+        np.multiply(hi, _RAD_PER_UNIT[0], out=theta)
+        np.multiply(hi, 134217729.0, out=a1)
+        np.subtract(a1, hi, out=a2)
+        a1 -= a2
+        np.subtract(hi, a1, out=a2)
+        np.multiply(a1, c1, out=e)
+        e -= theta
+        a1 *= c2
+        e += a1
+        e += np.multiply(a2, c1, out=a1)
+        a2 *= c2
+        e += a2
+        hi *= _RAD_PER_UNIT[1]
+        hi += np.multiply(lo, _RAD_PER_UNIT[0], out=a1)
+        e += hi
+        theta += e
         np.cos(theta, out=part[:, 0])
         np.sin(theta, out=part[:, 1])
     return out
@@ -293,16 +339,36 @@ def _phase_tables(xi, grid):
     # rest), which must fall under an eighth of a rounding
     P = next(p for p in itertools.count(1) if _RHO**p / math.factorial(p) < 2.0**-56)
     u = (h * (np.arange(n) - 0.5 * (n - 1)) + c_err) / R
-    # (xi R)^p / p! by running products, times (-i)^p, which is exact
-    steps = np.outer(xi[low] * R, 1.0 / np.arange(1, P))
-    taylor = np.cumprod(np.hstack([np.ones((low.size, 1)), steps]), axis=1)
+    taylor, powers = _moment_expansion(xi[low] * R, u, P)
     return _Tables(
         high, _conj_unit(x0 + to_mid),
         _unit_phase(np.multiply.outer(coarse, np.arange(top + 1, dtype=np.uint64))),
         _unit_phase(np.multiply.outer(fine, np.arange(half + 1, dtype=np.uint64))),
-        low, _conj_unit(centre),
-        taylor * np.array([1.0, -1j, -1.0, 1j])[np.arange(P) % 4],
-        np.vander(u, P, increasing=True).astype(complex))
+        low, _conj_unit(centre), taylor, powers)
+
+
+def _moment_expansion(xi_R, u, P):
+    """The low rows' tables for terms p < P: (-i xi R)^p / p! per entry of
+    xi_R, rows x P, and u^p per entry of u, n x P, both complex.
+
+    Each is a running product over p on a contiguous P x rows buffer: term
+    p is term p-1 times (xi R)(1/p), and u^p is u^{p-1} times u: the
+    products np.cumprod and np.vander formed along the rows, which the
+    tables keep, C-ordered rows x P.
+    """
+    terms, moments = np.empty((P, xi_R.size)), np.empty((P, u.size))
+    terms[0], moments[0] = 1.0, 1.0
+    inverse = 1.0 / np.arange(1, P)
+    for p in range(1, P):
+        np.multiply(xi_R, inverse[p - 1], out=terms[p])
+        terms[p] *= terms[p - 1]
+        np.multiply(moments[p - 1], u, out=moments[p])
+    # times (-i)^p, which is exact
+    taylor = np.empty((xi_R.size, P), dtype=complex)
+    np.multiply(terms.T, np.array([1.0, -1j, -1.0, 1j])[np.arange(P) % 4], out=taylor)
+    powers = np.empty((u.size, P), dtype=complex)
+    powers[...] = moments.T
+    return taylor, powers
 
 
 @dataclass(frozen=True)
@@ -448,6 +514,9 @@ def _inverse_phase_sums(x_grid, c_plus, c_minus, tables):
     beta = c_plus[tables.high] * np.conj(tables.mid)
     pair = np.stack([alpha + beta, -1j * (alpha - beta)], axis=1)[:, :, None]
     rows = tables.high.size
+    # complex pair times real table entries.  Rejected: the same products
+    # on real (Re, Im) views, 144 -> 610 us on a heat window's 754 high
+    # rows at n = 2048 (2 CPUs, numpy 2.4), with zeros of another sign
     right = np.empty((2, rows, 2, half + 1), dtype=complex)
     np.multiply(pair, tables.fine, out=right[0])
     np.multiply(pair, tables.fine[:, ::-1], out=right[1])

@@ -37,6 +37,8 @@ def _register(name):
 
 def run_suite(names=None):
     """Run the named checks (default: all) and return their reports."""
+    # the checks run one after another: on two threads the whole suite took
+    # 54-58 ms where one thread takes 50.8 ms (2 CPUs, numpy 2.4)
     if names is None:
         names = list(CHECKS)
     reports = []
@@ -375,9 +377,14 @@ def check_oscillator_wave():
     reports = [make_report("oscillator_wave_energy", drift, 1.0e-8,
                            notes="oracle energy drift over t <= 2")]
 
+    # each level's three snapshots share one projection of the data
+    projections = {}
+
     def osc_solution(t, xs):
         gg = make_grid(xs[0], xs[-1] + (xs[1] - xs[0]), len(xs))
-        return wave_oracle(expand(data(gg), a, 64), t, gg).values
+        if gg not in projections:
+            projections[gg] = expand(data(gg), a, 64)
+        return wave_oracle(projections[gg], t, gg).values
 
     order = residual_convergence_order(
         osc_solution, "wave_ho", 0.4, a, make_grid(-10.0, 10.0, 256), 0.02)
@@ -409,11 +416,12 @@ def check_grushin_kernel():
     """Degenerate-operator kernel: realness, point symmetry, and quadrature
     self-convergence."""
     p = GrushinPoint(0.3, 0.7, -0.2, 0.1, 0.5)
+    # the real kernel at p, on the default 1025 dual nodes, is z.real
     z = grushin_heat_kernel(p, as_complex=True)
     swapped = GrushinPoint(-0.2, 0.1, 0.3, 0.7, 0.5)
-    sym = abs(grushin_heat_kernel(p) - grushin_heat_kernel(swapped))
+    sym = abs(z.real - grushin_heat_kernel(swapped))
     v1 = grushin_heat_kernel(p, n_a=513)
-    v2 = grushin_heat_kernel(p, n_a=1025)
+    v2 = z.real
     return [
         make_report("grushin_imag_part", abs(z.imag), 1.0e-10,
                     notes="even integrand must produce a real kernel"),

@@ -9,6 +9,8 @@ import pytest
 
 from oscwave import oscillator, verify
 from oscwave.grids import SampledFunction, make_grid, quadrature_weights
+from oscwave.grushin import grushin_heat_kernel
+from oscwave.hermite import expand
 from oscwave.oscillator import OscillatorParams, heat_ho_kernel_route, heat_kernel
 
 # c02's three grids, one per refinement level
@@ -110,6 +112,38 @@ def test_c11_builds_at_most_25_hermite_tables(hermite_builds):
     reports = verify.check_oscillator_wave()
     assert len(hermite_builds) <= 25
     assert [r.verdict for r in reports if r.verdict != "informational"] == ["pass"] * 3
+
+
+def test_c11_projects_its_data_once_per_grid(monkeypatch):
+    """The order probe's three snapshots on a level share one projection:
+    one expand per refinement level and one for the oracle on c11's own
+    grid, where each snapshot once projected the data anew."""
+    sizes = []
+
+    def recording(f, a, n_max):
+        sizes.append(f.grid.n)
+        return expand(f, a, n_max)
+
+    monkeypatch.setattr(verify, "expand", recording)
+    reports = verify.check_oscillator_wave()
+    assert sorted(sizes) == [256, 512, 1024, 2048]
+    assert [r.verdict for r in reports if r.verdict != "informational"] == ["pass"] * 3
+
+
+def test_c12_evaluates_the_grushin_kernel_three_times(monkeypatch):
+    """The real kernel at p on the default nodes is the complex call's real
+    part, so c12 evaluates the kernel at p (complex), at the swapped point
+    and at p on 513 nodes."""
+    calls = []
+
+    def recording(p, **options):
+        calls.append((p, options))
+        return grushin_heat_kernel(p, **options)
+
+    monkeypatch.setattr(verify, "grushin_heat_kernel", recording)
+    reports = verify.check_grushin_kernel()
+    assert len(calls) == 3
+    assert [r.verdict for r in reports] == ["pass"] * 3
 
 
 def test_c11_t0_1_row_stays_below_one():
