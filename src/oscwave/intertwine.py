@@ -64,7 +64,9 @@ Numerical plan, chosen to survive the weight's super-exponential growth:
   form (1/sqrt(2pi)) integral 2a xi G(+-xi(X)) e^{+-i xi x} dX by the
   trapezoid rule in X.  The integrand decays at both ends (spectral tail on
   one side, the xi factor on the other), where the trapezoid rule is
-  spectrally accurate.
+  spectrally accurate.  Its high rows' product is summed in blocks small
+  enough for OpenBLAS to run each on one thread, so the inverse has the
+  same bits at any thread count (_inverse_phase_sums).
 * The final multiplication by e^{+ax^2/2} amplifies any noise in the damped
   reconstruction by up to e^{ax^2/2}; values below a noise floor are zeroed
   first (mask_floor; see apply_T_inverse).
@@ -187,6 +189,9 @@ RESIDUAL_TOL = 1.0e-5
 # rows whose |xi| R (R the x grid's half-width) is at most this sum through
 # a short moment expansion instead of trig tables
 _RHO = 0.1
+# multiply-adds of one block of the inverse's high-row product, under the
+# size OpenBLAS runs on one thread (_inverse_phase_sums)
+_INVERSE_BLOCK = 2**17
 
 # 1/2pi and 2pi/2^64 (the radians of one fixed-point unit of a turn), each
 # an unevaluated sum of two doubles
@@ -292,7 +297,7 @@ class _Tables(NamedTuple):
     low: np.ndarray     # row indices into xi, increasing
     centre: np.ndarray  # e^{-i xi x_c} per low row
     taylor: np.ndarray  # (-i xi R)^p / p!, low rows x P
-    powers: np.ndarray  # u_j^p as complex, n x P, the same for every row
+    powers: np.ndarray | None  # u_j^p as complex, n x P; None with no low rows
 
     def rows(self, start, stop):
         """Rows [start, stop) of xi, as a set of their own."""
@@ -338,8 +343,12 @@ def _phase_tables(xi, grid):
     # P terms leave at most _RHO^P / P! (the first omitted term bounds the
     # rest), which must fall under an eighth of a rounding
     P = next(p for p in itertools.count(1) if _RHO**p / math.factorial(p) < 2.0**-56)
-    u = (h * (np.arange(n) - 0.5 * (n - 1)) + c_err) / R
-    taylor, powers = _moment_expansion(xi[low] * R, u, P)
+    if low.size:
+        u = (h * (np.arange(n) - 0.5 * (n - 1)) + c_err) / R
+        taylor, powers = _moment_expansion(xi[low] * R, u, P)
+    else:
+        # no row reads the moments, as on c04's windows
+        taylor, powers = np.empty((0, P), dtype=complex), None
     return _Tables(
         high, _conj_unit(x0 + to_mid),
         _unit_phase(np.multiply.outer(coarse, np.arange(top + 1, dtype=np.uint64))),
@@ -521,11 +530,24 @@ def _inverse_phase_sums(x_grid, c_plus, c_minus, tables):
     np.multiply(pair, tables.fine, out=right[0])
     np.multiply(pair, tables.fine[:, ::-1], out=right[1])
     # real products on the interleaved parts: C.T @ [sigma c | delta s] and
-    # S.T @ [sigma s | delta c], per (|J|, |r|)
-    R = np.empty((2, top + 1, 2, half + 1), dtype=complex)
+    # S.T @ [sigma s | delta c], per (|J|, |r|), summed over blocks of high
+    # rows of at most _INVERSE_BLOCK multiply-adds each, in row order.  The
+    # bits of one large product depend on how many threads OpenBLAS splits
+    # it over: unblocked, heat-ho's intertwine route on test_cli's seeded
+    # 2048-point input wrote 879 of its 2048 samples otherwise at one
+    # thread than at two.  OpenBLAS 0.3.31 runs a product of up to 65536 x 4
+    # multiply-adds on one thread, so each block has the same bits at any
+    # thread count.  That threshold is OpenBLAS's, so the contract is the
+    # cross-process test that compares the files written at one thread and
+    # at the default
+    R = np.zeros((2, top + 1, 2, half + 1), dtype=complex)
+    step = max(1, _INVERSE_BLOCK // ((top + 1) * 4 * (half + 1)))
+    part = np.empty((top + 1, 4 * (half + 1)))
     for q in range(2):
-        np.matmul(tables.coarse[:, q].T, right[q].reshape(rows, 2 * (half + 1)).view(float),
-                  out=R[q].reshape(top + 1, 2 * (half + 1)).view(float))
+        whole = R[q].reshape(top + 1, 2 * (half + 1)).view(float)
+        for start in range(0, rows, step):
+            rhs = right[q, start:start + step].reshape(-1, 2 * (half + 1)).view(float)
+            whole += np.matmul(tables.coarse[start:start + step, q].T, rhs, out=part)
     (Cc, Cs), (Ss, Sc) = R.transpose(0, 2, 1, 3)
     # the terms with C and with S, each at r >= 0 and at r <= 0; J = 0 and
     # r = 0 lie in two sign quadrants each, where the S and s terms vanish,
@@ -536,10 +558,13 @@ def _inverse_phase_sums(x_grid, c_plus, c_minus, tables):
     F[top::-1, half:] = with_C[0] - with_S[0]
     F[top:, half::-1] = with_C[1] + with_S[1]
     F[top:, half:] = with_C[0] + with_S[0]
-    # low rows: P coefficients per sign, then one product with the powers
-    low = tables.powers @ (tables.taylor.T @ np.column_stack(
-        [np.conj(c_plus[tables.low]) * tables.centre, c_minus[tables.low] * tables.centre]))
-    return F.ravel()[front:front + n] + (np.conj(low[:, 0]) + low[:, 1])
+    out = F.ravel()[front:front + n]
+    if tables.low.size:
+        # low rows: P coefficients per sign, then one product with the powers
+        low = tables.powers @ (tables.taylor.T @ np.column_stack(
+            [np.conj(c_plus[tables.low]) * tables.centre, c_minus[tables.low] * tables.centre]))
+        out = out + (np.conj(low[:, 0]) + low[:, 1])
+    return out
 
 
 def _damping(x_grid, a):

@@ -223,24 +223,22 @@ def test_grushin_dump(tmp_path):
     assert np.all(np.isfinite(vals))
 
 
-def _run_cli(*args):
-    pkg_root = Path(oscwave.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(pkg_root))
-    return subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "oscwave.cli", *args],
-        capture_output=True, text=True, env=env,
-    )
+def _run_quietly(argv):
+    """main(argv) with stderr and warnings captured: (status, stderr, warnings)."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stderr(err):
+        warnings.simplefilter("always")
+        rc = main(argv)
+    return rc, err.getvalue(), [str(w.message) for w in caught]
 
 
 def test_grushin_dump_refuses_aliased_offsets(tmp_path):
     dst = tmp_path / "g.csv"
-    done = _run_cli("grushin-heat", "--t", "0.5", "--grid", "-1,1,16",
-                    "--dy", "30", "--output", str(dst))
-    assert done.returncode == 1
-    assert "Traceback" not in done.stderr
+    rc, err, caught = _run_quietly(["grushin-heat", "--t", "0.5", "--grid", "-1,1,16",
+                                    "--dy", "30", "--output", str(dst)])
+    assert (rc, caught) == (1, [])
     assert ("|y - y'| = 30 exceeds 25.1327 = pi (n_a - 1) / (2 a_max), half "
-            "the quadrature's alias period at a_max = 64, n_a = 1025"
-            in done.stderr)
+            "the quadrature's alias period at a_max = 64, n_a = 1025" in err)
     assert not dst.exists()
 
 
@@ -266,10 +264,9 @@ def test_grushin_dump_at_an_offset_that_once_aliased(tmp_path):
 ])
 def test_kernel_dumps_refuse_times_past_the_double_range(tmp_path, args, message):
     dst = tmp_path / "k.csv"
-    done = _run_cli(*args, "--output", str(dst))
-    assert done.returncode == 1
-    assert "Traceback" not in done.stderr and "Warning" not in done.stderr
-    assert message in done.stderr
+    rc, err, caught = _run_quietly([*args, "--output", str(dst)])
+    assert (rc, caught) == (1, [])
+    assert message in err
     assert not dst.exists()
 
 
@@ -284,12 +281,10 @@ def test_kernel_dumps_refuse_what_they_cannot_write_finitely(tmp_path, args, mes
     """The literal form at a*t = 1e-17 overflows off the diagonal (its
     diagonal is finite through expm1), and at t = 1e-310 the Gaussian rate
     ~1/(2t) leaves the double range: both exit 1 with one message, no
-    RuntimeWarning (fatal here) and no file."""
+    warning and no file."""
     dst = tmp_path / "k.csv"
-    done = _run_cli(*args, "--grid", "-1,1,8", "--output", str(dst))
-    assert done.returncode == 1
-    assert "Traceback" not in done.stderr and "Warning" not in done.stderr
-    assert done.stderr == f"oscwave: {message}\n"
+    rc, err, caught = _run_quietly([*args, "--grid", "-1,1,8", "--output", str(dst)])
+    assert (rc, err, caught) == (1, f"oscwave: {message}\n", [])
     assert not dst.exists()
 
 
@@ -297,10 +292,10 @@ def test_kernel_route_refuses_t_where_the_gaussian_rate_overflows(tmp_path):
     src = tmp_path / "in.csv"
     dst = tmp_path / "out.csv"
     _write_ground_state(src, n=64)
-    done = _run_cli("heat-ho", "--route", "kernel", "--a", "1e12", "--t", "1e-310",
-                    "--input", str(src), "--output", str(dst))
-    assert done.returncode == 1
-    assert done.stderr == "oscwave: the kernel route needs t >= 1e-308, got 1e-310\n"
+    rc, err, caught = _run_quietly(["heat-ho", "--route", "kernel", "--a", "1e12",
+                                    "--t", "1e-310", "--input", str(src), "--output", str(dst)])
+    assert (rc, err, caught) == (
+        1, "oscwave: the kernel route needs t >= 1e-308, got 1e-310\n", [])
     assert not dst.exists()
 
 
@@ -327,66 +322,126 @@ def test_verify_runs_are_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def _bytes_of_two_runs(tmp_path, name, *args):
-    """The output files of two concurrent `python -m oscwave.cli` runs of
-    args, each written to its own --output."""
+# The calls whose outputs two child interpreters compare (cross_process_files),
+# by case id; the routes and the conjugated calls run on the seeded 8-mode
+# mix on [-12, 12) at 512 and at 2048 points.
+_ROUTE_CALLS = {
+    "heat-ho": ("heat-ho", "oracle", "0.4"),
+    "wave-ho": ("wave-ho", "oracle", "0.4"),
+    "heat-ho-intertwine-t0.4": ("heat-ho", "intertwine", "0.4"),
+    "heat-ho-intertwine-t1e-3": ("heat-ho", "intertwine", "1e-3"),
+    "wave-ho-direct": ("wave-ho", "direct", "0.4"),
+    "heat-ho-spectral": ("heat-ho", "spectral", "0.4"),
+    "heat-ho-kernel": ("heat-ho", "kernel", "0.4"),
+}
+_CONJUGATED_2048_CALLS = {
+    "heat-ho-intertwine-t0.4": ("heat-ho", "intertwine", "0.4"),
+    "wave-ho-direct-t0.1": ("wave-ho", "direct", "0.1"),
+}
+_DUMP_CALLS = {
+    "kernel": ("kernel", "--variant", "mehler", "--a", "1.0", "--t", "0.4",
+               "--grid", "-4,4,112"),
+    "grushin-dy0.3": ("grushin-heat", "--t", "0.5", "--grid", "-1,1,16", "--dy", "0.3"),
+    "grushin-dy20": ("grushin-heat", "--t", "0.5", "--grid", "-1,1,16", "--dy", "20"),
+}
+
+# a child's work: one in-process main call per (output path, argv), in order
+CROSS_PROCESS_CHILD = """
+import json
+import sys
+from oscwave.cli import main
+
+for path, argv in json.loads(sys.argv[1]):
+    if main([*argv, "--output", path]) != 0:
+        sys.exit("oscwave " + " ".join(argv) + " did not exit 0")
+"""
+
+
+@pytest.fixture(scope="module")
+def cross_process_files(tmp_path_factory):
+    """name -> the bytes of that output as two child interpreters wrote it.
+
+    The two start at once, each under -W error::RuntimeWarning, and write
+    every output the cross-process cases compare.  One runs at
+    OPENBLAS_NUM_THREADS=1 and writes them in order; the other runs at
+    OpenBLAS's default thread count and writes them in reverse order.  So a
+    pair that matches depends neither on the thread count nor on what the
+    process ran before."""
+    tmp = tmp_path_factory.mktemp("cross_process")
+    coeffs = SpectralCoefficients(1.0, np.random.default_rng(5).standard_normal(8))
+    inputs = {}
+    for n in (512, 2048):
+        inputs[n] = tmp / f"osc{n}.csv"
+        write_function_csv(reconstruct(coeffs, make_grid(-12.0, 12.0, n)), inputs[n])
+    calls = {"report": ("verify", "--suite", "all")}
+    for n, prefix, table in ((512, "route", _ROUTE_CALLS),
+                             (2048, "n2048", _CONJUGATED_2048_CALLS)):
+        for name, (sub, route, t) in table.items():
+            calls[f"{prefix}-{name}"] = (sub, "--route", route, "--a", "1.0", "--t", t,
+                                         "--input", str(inputs[n]))
+    calls.update((f"dump-{name}", args) for name, args in _DUMP_CALLS.items())
     pkg_root = Path(oscwave.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(pkg_root))
-    outs = [tmp_path / f"{name}_{k}.csv" for k in (1, 2)]
-    runs = [subprocess.Popen(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "oscwave.cli", *args,
-         "--output", str(out)],
-        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env)
-        for out in outs]
-    for run in runs:
-        _, err = run.communicate(timeout=120)
-        assert run.returncode == 0, err
-    return [out.read_bytes() for out in outs]
+    # OpenBLAS reads its thread count from the first of these that is set
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = str(pkg_root)
+    children = []
+    for label, threads, order in (("one", {"OPENBLAS_NUM_THREADS": "1"}, 1),
+                                  ("default", {}, -1)):
+        (tmp / label).mkdir()
+        jobs = [(str(tmp / label / f"{name}.csv"), argv) for name, argv in calls.items()]
+        children.append(subprocess.Popen(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", CROSS_PROCESS_CHILD,
+             json.dumps(jobs[::order])],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            env={**env, **threads}))
+    for child in children:
+        _, err = child.communicate(timeout=120)
+        assert child.returncode == 0, err
+    return {name: tuple((tmp / label / f"{name}.csv").read_bytes()
+                        for label in ("one", "default"))
+            for name in calls}
 
 
-def test_verify_report_is_byte_identical_across_processes(tmp_path):
+def test_verify_report_is_byte_identical_across_processes(cross_process_files):
     """The whole report, every row of which a BLAS product, a phase sum or
-    a quadrature feeds, is the same file in two processes."""
-    first, second = _bytes_of_two_runs(tmp_path, "report", "verify", "--suite", "all")
+    a quadrature feeds, is the same file in both children of
+    cross_process_files: at one BLAS thread and at the default, each after
+    other work."""
+    first, second = cross_process_files["report"]
     assert first == second
     assert first.startswith(b"check,metric,tolerance,verdict,notes")
 
 
-@pytest.mark.parametrize("sub, route, t", [
-    pytest.param("heat-ho", "oracle", "0.4", id="heat-ho"),
-    pytest.param("wave-ho", "oracle", "0.4", id="wave-ho"),
-    pytest.param("heat-ho", "intertwine", "0.4", id="heat-ho-intertwine-t0.4"),
-    pytest.param("heat-ho", "intertwine", "1e-3", id="heat-ho-intertwine-t1e-3"),
-    pytest.param("wave-ho", "direct", "0.4", id="wave-ho-direct"),
-    pytest.param("heat-ho", "spectral", "0.4", id="heat-ho-spectral"),
-    pytest.param("heat-ho", "kernel", "0.4", id="heat-ho-kernel")])
-def test_oracle_routes_are_byte_identical_across_processes(tmp_path, sub, route, t):
+@pytest.mark.parametrize("name", list(_ROUTE_CALLS))
+def test_oracle_routes_are_byte_identical_across_processes(cross_process_files, name):
     """The Hermite oracles project and synthesize through real BLAS
     products, and the routes through T sum their phases in real BLAS
     products too (a heat call at t = 1e-3 keeps the derived window and
     builds twice its rows); their output on a seeded 512-point input is the
-    same file in two processes."""
-    src = tmp_path / "osc.csv"
-    g = make_grid(-12.0, 12.0, 512)
-    c = SpectralCoefficients(1.0, np.random.default_rng(5).standard_normal(8))
-    write_function_csv(reconstruct(c, g), src)
-    first, second = _bytes_of_two_runs(tmp_path, sub, sub, "--route", route,
-                                       "--a", "1.0", "--t", t, "--input", str(src))
+    same file in both children of cross_process_files."""
+    first, second = cross_process_files[f"route-{name}"]
     assert first == second
     assert len(first.splitlines()) == 1 + 512
 
 
-@pytest.mark.parametrize("args", [
-    pytest.param(("kernel", "--variant", "mehler", "--a", "1.0", "--t", "0.4",
-                  "--grid", "-4,4,112"), id="kernel"),
-    pytest.param(("grushin-heat", "--t", "0.5", "--grid", "-1,1,16", "--dy", "0.3"),
-                 id="grushin-dy0.3"),
-    pytest.param(("grushin-heat", "--t", "0.5", "--grid", "-1,1,16", "--dy", "20"),
-                 id="grushin-dy20")])
-def test_matrix_dumps_are_byte_identical_across_processes(tmp_path, args):
+@pytest.mark.parametrize("name", list(_CONJUGATED_2048_CALLS))
+def test_conjugated_routes_on_2048_points_are_byte_identical_across_processes(
+        cross_process_files, name):
+    """On a seeded 2048-point input T's inverse sums a product of about
+    1.7e6 multiply-adds over its high rows; as one BLAS call its bits
+    followed the thread count, and both outputs differed between the
+    children.  Summed in blocks, each is the same file in both."""
+    first, second = cross_process_files[f"n2048-{name}"]
+    assert first == second
+    assert len(first.splitlines()) == 1 + 2048
+
+
+@pytest.mark.parametrize("name", list(_DUMP_CALLS))
+def test_matrix_dumps_are_byte_identical_across_processes(cross_process_files, name):
     """The kernel matrix and the Grushin kernel's lambda quadrature are the
-    same file in two processes."""
-    first, second = _bytes_of_two_runs(tmp_path, args[0], *args)
+    same file in both children of cross_process_files."""
+    first, second = cross_process_files[f"dump-{name}"]
     assert first == second
     assert len(first.splitlines()) > 1
 
@@ -518,15 +573,6 @@ def test_domain_violation_exits_one(tmp_path, capsys):
     ])
     assert rc == 1
     assert "positive" in capsys.readouterr().err
-
-
-def _run_quietly(argv):
-    """main(argv) with stderr and warnings captured: (status, stderr, warnings)."""
-    err = io.StringIO()
-    with warnings.catch_warnings(record=True) as caught, redirect_stderr(err):
-        warnings.simplefilter("always")
-        rc = main(argv)
-    return rc, err.getvalue(), [str(w.message) for w in caught]
 
 
 def _assert_bad_time(tmp_path, command, t):

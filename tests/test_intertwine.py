@@ -26,6 +26,7 @@ from oscwave import (
     rel_l2_error,
     weight,
 )
+from oscwave import verify
 from oscwave.fourier import EdgeDecayWarning, SpectralFunction
 from oscwave.intertwine import (_INV_2PI, _RAD_PER_UNIT, _RHO, _branch_transform,
                                 _centered_d, _damped, _inverse_phase_sums, _phase_sums,
@@ -181,16 +182,34 @@ def test_each_column_of_a_block_matches_a_long_double_direct_sum(n_x):
 
 def test_a_window_without_low_rows_skips_the_moment_product():
     """c04's windows (512 rows, all high at n = 2048) have no low rows, so
-    the forward sum forms no moment product: a table set without powers
-    still sums, to the same bits."""
+    neither sum forms a moment product (nor their set a powers table, as
+    test_c04_windows_build_no_moment_table checks): both sum to the values
+    they take with a powers table, whose product adds only zeros there."""
     p = IntertwineParams(0.5, GRID, make_grid(0.0, 0.3, 512))
     tables = p.phase_tables
     assert tables.low.size == 0
+    with_powers = tables._replace(
+        powers=np.ones((GRID.n, tables.taylor.shape[1]), dtype=complex))
     values = hermite_fn(1, 0.5, X) * np.exp(-0.25 * X**2) * (1.0 + 0.5j)
-    want = _phase_sums(values, GRID, p.xi_nodes, tables)
-    got = _phase_sums(values, GRID, p.xi_nodes, tables._replace(powers=None))
+    got = _phase_sums(values, GRID, p.xi_nodes, tables)
+    want = _phase_sums(values, GRID, p.xi_nodes, with_powers)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
+    c_plus, c_minus = got
+    assert np.array_equal(_inverse_phase_sums(GRID, c_plus, c_minus, tables),
+                          _inverse_phase_sums(GRID, c_plus, c_minus, with_powers))
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0])
+def test_c04_windows_build_no_moment_table(a):
+    """Neither of c04's windows has a low row, so neither builds the powers
+    table (n x 11 complex, 360 KB at n = 2048) that only low rows read.
+    The inverse then skips the moment product as the forward sum does;
+    test_factorized_phase_sums_match_a_long_double_direct_sum sums both
+    ways on such a set."""
+    tables = verify._criterion4_params(a, GRID).phase_tables
+    assert tables.high.size == 512 and tables.low.size == 0
+    assert tables.powers is None
 
 
 def test_batched_residuals_report_as_one_function_calls():
