@@ -38,15 +38,13 @@ Numerical plan, chosen to survive the weight's super-exponential growth:
     the same two products in the other order.  derive_params runs X to
     where xi = e^{-37}, so on the CLI's windows about 81% of the rows are
     of this kind and need no trig table.
-  Against a long-double direct sum, xi from 0.95 Nyquist to e^{-37} on
-  [-12, 12) (n = 512), [20.5, 61.3) (2048) and [-37.3, 41.9) (4099),
-  complex data: per row within 3.8e-17 h/sqrt(2pi) sum|v| forward (either
-  kind of row) and 5.7e-17 sum|c| inverse, where complex tables over every
-  J and r measured 4.4e-17 and 7.1e-17.  With every row through the
-  tables the inverse reads 1.4e-16 (complex tables: 7.0e-17); the excess
-  lies in the rows the moment expansion serves (1.5e-16 against 9.1e-17
-  with data on those rows alone), while data on the other rows alone reads
-  1.1e-16 to 1.6e-16 (0.9e-16 to 1.4e-16).  The window (IntertwineParams)
+  Against a direct sum exact to a rounding (the tests' plain-double
+  references: every term within 2e-18, summed as if in twice the working
+  precision), 400 rows with xi from 0.95 Nyquist to e^{-37} on [-12, 12)
+  (n = 512), [20.5, 61.3) (2048) and [-37.3, 41.9) (4099), complex data:
+  per row within 2.6e-17 h/sqrt(2pi) sum|v| forward (either kind of row)
+  and 5.8e-17 sum|c| inverse.  With every row through the tables the
+  inverse reads 8.3e-17.  The window (IntertwineParams)
   builds its tables once, so forward and inverse share them.  The
   conjugated heat flow reads the spectrum at the contracted nodes
   e^{-2a(X + t)}; with the X step aligned to t these are rows of the same
@@ -117,7 +115,8 @@ MAX_WEIGHT_EXPONENT = 700.0
 # curve e^{-2aX} = e^{-37} has reached the double-precision floor
 X_EXTENT = 18.5
 # nodes of every derived X window; the inverse's trapezoid rule in X converges
-# geometrically, and the tests' tuned round trips measure <= 7.8e-9 here
+# geometrically, and the tests' tuned round trips measure 4.49e-9 (ground
+# state), 8.96e-9 (odd data) and 4.89e-9 (wide coupling) here
 X_NODES = 4096
 # pass/fail bound of intertwine_residual's relative L2 metric
 RESIDUAL_TOL = 1.0e-5
@@ -687,9 +686,13 @@ def apply_T_inverse(b, p, mask_floor=1.0e-15):
     """Invert a branch pair back to a function of x.
 
     mask_floor: fraction of the damped reconstruction's peak below which
-    values are zeroed before the final e^{+ax^2/2} factor.  The default is
-    safe for any grid; it caps the amplified noise at roughly 1e-8 of the
-    result in L2.
+    values are zeroed before the final e^{+ax^2/2} factor.  It does not
+    bound the amplified noise: rounding noise just above the floor is still
+    multiplied by up to e^{ax^2/2}.  c11's informational
+    oscillator_wave_vs_oracle_t0.5 row reads 3.85e21 at the default, and
+    wave-ho --route direct at t = 0.1 on a seeded 2048-point input on
+    [-12, 12) writes samples up to 3.6e8 near |x| = 10.  Choosing the floor
+    from the measured noise is ROADMAP item 2.
 
     Round-trip accuracy is limited by the x-domain mass that sits below
     the damped representation's roundoff floor: samples with

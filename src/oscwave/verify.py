@@ -92,8 +92,9 @@ def check_heat_pde_residual():
     Each snapshot is the kernel route, heat_ho_kernel_route, applied to
     e^{-x^2} sampled on that level's own grid [-6, 6), where the data has
     decayed to e^{-36} at the ends.  On c02's three grids at t = 0.28, 0.3
-    and 0.32 it is within 3.0e-15 (pointwise relative) of a long-double
-    dense Mehler sum over the same nodes.
+    and 0.32 it is within 2.8e-15 (pointwise relative) of a dense Mehler
+    sum over the same nodes, its kernel entries within a few roundings and
+    summed as if in twice the working precision.
     """
     a = 1.0
 

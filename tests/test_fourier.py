@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import two_prod
 from oscwave import (
     EdgeDecayWarning,
     SampledFunction,
@@ -106,18 +107,19 @@ def test_resample_gaussian_closed_form():
 def _direct_resample(F, scale):
     """F's trigonometric interpolant at scale * xi, summed term by term:
     (h/sqrt(2pi)) e^{-i scale xi_k x_min} sum_j f_j e^{-i 2pi scale j k'/n},
-    k' = k - n//2, with each phase reduced in long double; rows go in
-    blocks so the phase matrix stays small."""
+    k' = k - n//2, with each turn scale j k' formed exactly (two_prod) and
+    reduced mod n before it meets 2pi/n.  Row -k' is row k''s conjugate,
+    so only rows k' >= 0 are formed, in blocks so the matrix stays small."""
     n, g = F.xi_grid.n, F.x_grid
     f = inverse_ft(F).values
-    turn = 2 * np.arccos(np.longdouble(-1))
-    step = turn * np.longdouble(scale) / n
-    sums = []
-    for k in np.array_split(np.arange(n) - n // 2, n // 256 + 1):
-        jk = np.outer(k, np.arange(n)).astype(np.longdouble)
-        phase = np.fmod(step * jk, turn).astype(float)
-        sums.append(np.exp(-1j * phase) @ f)
-    sums = np.concatenate(sums)
+    sums, mirrored = [], []
+    for k in np.array_split(np.arange(n // 2 + 1), n // 512 + 1):
+        p, e = two_prod(scale, np.outer(k, np.arange(n)).astype(float))
+        rows = np.exp(-1j * (np.fmod(p, n) + e) * (2 * np.pi / n))
+        sums.append(rows @ f)
+        mirrored.append(np.conj(rows @ np.conj(f)))
+    sums, mirrored = np.concatenate(sums), np.concatenate(mirrored)
+    sums = np.concatenate([mirrored[:0:-1], sums[:n - n // 2]])
     xi = scale * F.xi_grid.points
     return (g.spacing / np.sqrt(2 * np.pi)) * np.exp(-1j * xi * g.x_min) * sums
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_close, direct_sums, phases
 from oscwave import (
     BranchPair,
     IntertwineParams,
@@ -106,35 +107,33 @@ def test_window_branches_of_complex_uneven_data_match_a_plain_sum():
 @pytest.mark.parametrize("n_x", [8, 257, 1000])
 def test_factorized_phase_sums_match_a_long_double_direct_sum(n_x):
     """Forward and inverse phase sums on grid sizes that are no power of two
-    (257 is prime) against every term e^{-i xi x} formed in long double.
+    (257 is prime) against every term e^{-i xi x}, summed by the exact
+    plain-double references of conftest (no long double is needed).
 
     The grid is off-center, so a dropped e^{-i xi x0} factor shows; the
     data is complex and uneven, and each inverse branch runs alone, so a
-    swapped sign shows in either direction.
+    swapped sign shows in either direction.  Measured: within 4.7e-16 of
+    the peak.
     """
     rng = np.random.default_rng(n_x)
     g = make_grid(-3.3, 5.1, n_x)
     n_xi = 63
     xi = np.sort(rng.uniform(0.02, 0.9, n_xi)) * np.pi / g.spacing
-    ld = np.longdouble
-    theta = np.multiply.outer(xi.astype(ld), ld(g.x_min) + ld(g.spacing) * np.arange(n_x))
-    phases = np.cos(theta) - 1j * np.sin(theta)
-
-    def assert_close(got, want):
-        want = want.astype(complex)
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    ph = phases(xi, g.x_min, g.spacing, n_x)
 
     values = rng.normal(size=n_x) + 1j * rng.normal(size=n_x)
     scale = g.spacing / np.sqrt(2.0 * np.pi)
     tables = _phase_tables(xi, g)
     g_plus, g_minus = _phase_sums(values, g, xi, tables)
-    assert_close(g_plus, scale * (phases @ values))
-    assert_close(g_minus, scale * (phases.conj() @ values))
+    want_plus, want_minus = direct_sums(ph, values)
+    assert_close(g_plus, scale * want_plus)
+    assert_close(g_minus, scale * want_minus)
 
     c = rng.normal(size=n_xi) + 1j * rng.normal(size=n_xi)
     zero = np.zeros(n_xi, dtype=complex)
-    assert_close(_inverse_phase_sums(g, c, zero, tables), c @ phases.conj())
-    assert_close(_inverse_phase_sums(g, zero, c, tables), c @ phases)
+    at_phase, at_conj = direct_sums(ph.swapaxes(1, 2), c)
+    assert_close(_inverse_phase_sums(g, c, zero, tables), at_conj)
+    assert_close(_inverse_phase_sums(g, zero, c, tables), at_phase)
 
 
 def test_n_samples_sum_as_the_n_by_1_block():
@@ -161,23 +160,18 @@ def test_each_column_of_a_block_matches_a_long_double_direct_sum(n_x):
     R = g.spacing * (0.5 * (n_x - 1))
     xi = np.sort(np.concatenate([rng.uniform(0.02, 0.9, 63) * np.pi / g.spacing,
                                  rng.uniform(0.0, _RHO, 63) / R]))
-    ld = np.longdouble
-    theta = np.multiply.outer(xi.astype(ld), ld(g.x_min) + ld(g.spacing) * np.arange(n_x))
-    phases = np.cos(theta) - 1j * np.sin(theta)
+    ph = phases(xi, g.x_min, g.spacing, n_x)
     tables = _phase_tables(xi, g)
     assert tables.high.size == tables.low.size == 63
-
-    def assert_close(got, want):
-        want = want.astype(complex)
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     block = rng.normal(size=(n_x, 3)) + 1j * rng.normal(size=(n_x, 3))
     scale = g.spacing / np.sqrt(2.0 * np.pi)
     g_plus, g_minus = _phase_sums(block, g, xi, tables)
     assert g_plus.shape == g_minus.shape == (xi.size, 3)
     for c in range(3):
-        assert_close(g_plus[:, c], scale * (phases @ block[:, c]))
-        assert_close(g_minus[:, c], scale * (phases.conj() @ block[:, c]))
+        want_plus, want_minus = direct_sums(ph, block[:, c])
+        assert_close(g_plus[:, c], scale * want_plus)
+        assert_close(g_minus[:, c], scale * want_minus)
 
 
 def test_a_window_without_low_rows_skips_the_moment_product():
@@ -309,17 +303,19 @@ def test_phase_table_entries_match_mpmath(lo, hi, n):
     pytest.param(1000.3, 1001.1, 64, id="far_from_zero")])
 def test_low_and_high_rows_match_a_long_double_direct_sum(lo, hi, n):
     """Forward and inverse sums with xi from 0.95 of the Nyquist frequency
-    down to e^{-37}, in shuffled order, against every term e^{-i xi x}
-    formed in long double from e^{-i xi x0} in mpmath.  Rows with
+    down to e^{-37}, in shuffled order, against every term e^{-i xi x},
+    each within 2e-18 and summed as if in twice the working precision
+    (conftest's phases and direct_sums).  Rows with
     |xi| R <= _RHO (R the half-width) sum through the moment expansion,
     the rest through the factored tables; two added rows sit on the
     boundary, |xi| R == _RHO (low) and one ulp above it (high).  On the
     last grid the centre lies 2500 half-widths from 0, so a rounding of
     x_c left in the low rows shows.  The data are complex.  Each row is
     held to a rounding of its terms' size: forward within 1e-16
-    h/sqrt(2pi) sum|v|, inverse within 2e-16 sum|c|.
+    h/sqrt(2pi) sum|v|, inverse within 2e-16 sum|c|.  Measured: at most
+    0.70 of the bound forward and 0.22 inverse, as against the long-double
+    reference this one replaced.
     """
-    mp = pytest.importorskip("mpmath")
     rng = np.random.default_rng(n)
     g = make_grid(lo, hi, n)
     R = g.spacing * (0.5 * (n - 1))
@@ -338,34 +334,50 @@ def test_low_and_high_rows_match_a_long_double_direct_sum(lo, hi, n):
     assert 0 < tables.high.size < tables.low.size
     assert low[xi == edge] and not low[xi == np.nextafter(edge, 1.0)]
 
-    ld = np.longdouble
-    with mp.workprec(150):
-        offset = [mp.expj(-mp.mpf(k) * mp.mpf(g.x_min)) for k in xi]
-        off_re = np.array([ld(mp.nstr(z.real, 30)) for z in offset])
-        off_im = np.array([ld(mp.nstr(z.imag, 30)) for z in offset])
-    theta = np.multiply.outer(xi.astype(ld), ld(g.spacing) * np.arange(n))
-    cos = off_re[:, None] * np.cos(theta) + off_im[:, None] * np.sin(theta)
-    sin = off_re[:, None] * np.sin(theta) - off_im[:, None] * np.cos(theta)
-
-    def direct(vals, sign):
-        # sum_j vals_j e^{-i sign xi x_j} over the rows, in long double
-        re, im = vals.real.astype(ld), vals.imag.astype(ld)
-        return ((cos @ re + sign * (sin @ im))
-                + 1j * (cos @ im - sign * (sin @ re))).astype(complex)
-
+    ph = phases(xi, g.x_min, g.spacing, n)
     values = rng.normal(size=n) + 1j * rng.normal(size=n)
     scale = g.spacing / np.sqrt(2.0 * np.pi)
     g_plus, g_minus = _phase_sums(values, g, xi, tables)
+    want_plus, want_minus = direct_sums(ph, values)
     bound = 1e-16 * scale * np.sum(np.abs(values))
-    assert np.all(np.abs(g_plus - scale * direct(values, 1.0)) <= bound)
-    assert np.all(np.abs(g_minus - scale * direct(values, -1.0)) <= bound)
+    assert np.all(np.abs(g_plus - scale * want_plus) <= bound)
+    assert np.all(np.abs(g_minus - scale * want_minus) <= bound)
 
     c = rng.normal(size=xi.size) + 1j * rng.normal(size=xi.size)
     zero = np.zeros(xi.size, dtype=complex)
-    cos, sin = cos.T, sin.T
+    at_phase, at_conj = direct_sums(ph.swapaxes(1, 2), c)
     bound = 2e-16 * np.sum(np.abs(c))
-    assert np.all(np.abs(_inverse_phase_sums(g, c, zero, tables) - direct(c, -1.0)) <= bound)
-    assert np.all(np.abs(_inverse_phase_sums(g, zero, c, tables) - direct(c, 1.0)) <= bound)
+    assert np.all(np.abs(_inverse_phase_sums(g, c, zero, tables) - at_conj) <= bound)
+    assert np.all(np.abs(_inverse_phase_sums(g, zero, c, tables) - at_phase) <= bound)
+
+
+def test_the_direct_sum_references_hold_their_claims():
+    """conftest's references against exact ones.  On the grids of
+    test_low_and_high_rows_match_a_long_double_direct_sum, sampled entries
+    of phases are within 2e-18 of mpmath at 200 bits, and within 2.5e-16
+    rounded to double; a reduction that dropped the low part of xi x0 would
+    miss by up to half an ulp of xi x0, 1.5e-11 on the last grid.  On
+    random complex data direct_sums gives the exact sums rounded once, as
+    math.fsum gives them from exact two_prod pieces."""
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(36)
+    for lo, hi, n in ((-3.3, 5.1, 500), (20.5, 61.3, 2048), (1000.3, 1001.1, 64)):
+        g = make_grid(lo, hi, n)
+        xi = rng.choice(np.geomspace(0.95 * np.pi / g.spacing, np.exp(-37.0), 400), 40)
+        ph = phases(xi, g.x_min, g.spacing, n)
+        with mp.workprec(200):
+            for k, j in zip(rng.integers(0, xi.size, 200), rng.integers(0, n, 200)):
+                want = mp.expj(-mp.mpf(xi[k]) * (mp.mpf(g.x_min) + int(j) * mp.mpf(g.spacing)))
+                assert abs(mp.mpc(ph[0, k, j]) + mp.mpc(ph[1, k, j]) - want) <= 2e-18
+                assert abs(mp.mpc(ph[0, k, j] + ph[1, k, j]) - want) <= 2.5e-16
+
+    a, v = rng.normal(size=(2, 6, 301)) + 1j * rng.normal(size=(2, 6, 301))
+    exact = np.vectorize(Fraction, otypes=[object])
+    (ar, ai), (vr, vi) = (exact(a.real), exact(a.imag)), (exact(v[0].real), exact(v[0].imag))
+    for got, re, im in zip(direct_sums(np.stack([a, 0 * a]), v[0]),
+                           (ar @ vr - ai @ vi, ar @ vr + ai @ vi),
+                           (ar @ vi + ai @ vr, ar @ vi - ai @ vr)):
+        assert np.array_equal(got, [complex(x, y) for x, y in zip(re, im)])
 
 
 def test_derived_windows_build_trig_tables_for_a_fifth_of_their_rows():

@@ -26,6 +26,7 @@ from oscwave import (
     wave_ho,
     wave_oracle,
 )
+from conftest import assert_close, direct_sums, phases
 from oscwave import intertwine, oscillator
 from oscwave.grids import quadrature_weights
 from oscwave.oscillator import MIN_AT, MIN_T, TAIL_GUARD, _wave_ho_times
@@ -722,8 +723,9 @@ def test_a_heat_call_keeps_its_phase_tables_small():
 def test_shared_rows_match_a_long_double_direct_sum():
     """The forward sums at the contracted nodes (rows [s, N + s) of the one
     table set) and the window's inverse sums (rows [0, N)) against every
-    term e^{-i xi x} formed in long double.  The contracted frequencies are
-    the window's own frequencies moved s rows along, bit for bit."""
+    term e^{-i xi x}, summed by conftest's exact plain-double references.
+    The contracted frequencies are the window's own frequencies moved s
+    rows along, bit for bit."""
     rng = np.random.default_rng(128)
     g = make_grid(-8.0, 8.0, 128)
     v0 = SampledFunction(g, np.exp(-g.points**2).astype(complex))
@@ -737,31 +739,19 @@ def test_shared_rows_match_a_long_double_direct_sum():
     assert np.array_equal(xi[:-s], window.xi_nodes[s:])
     assert np.array_equal(xi, np.exp(-2.0 * (X.x_min + X.spacing * np.arange(s, X.n + s))))
 
-    ld = np.longdouble
-    x = ld(g.x_min) + ld(g.spacing) * np.arange(g.n)
-
-    def phases(nodes):
-        theta = np.multiply.outer(nodes.astype(ld), x)
-        return np.cos(theta) - 1j * np.sin(theta)
-
-    def assert_close(got, want):
-        want = want.astype(complex)
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
     values = rng.normal(size=g.n) + 1j * rng.normal(size=g.n)
     scale = g.spacing / np.sqrt(2.0 * np.pi)
     g_plus, g_minus = intertwine._phase_sums(values, g, xi, tables)
-    forward = phases(xi)
-    assert_close(g_plus, scale * (forward @ values))
-    assert_close(g_minus, scale * (forward.conj() @ values))
+    want_plus, want_minus = direct_sums(phases(xi, g.x_min, g.spacing, g.n), values)
+    assert_close(g_plus, scale * want_plus)
+    assert_close(g_minus, scale * want_minus)
 
     c = rng.normal(size=X.n) + 1j * rng.normal(size=X.n)
     zero = np.zeros(X.n, dtype=complex)
-    inverse = phases(window.xi_nodes)
-    assert_close(intertwine._inverse_phase_sums(
-        g, c, zero, window.phase_tables), c @ inverse.conj())
-    assert_close(intertwine._inverse_phase_sums(
-        g, zero, c, window.phase_tables), c @ inverse)
+    at_phase, at_conj = direct_sums(
+        phases(window.xi_nodes, g.x_min, g.spacing, g.n).swapaxes(1, 2), c)
+    assert_close(intertwine._inverse_phase_sums(g, c, zero, window.phase_tables), at_conj)
+    assert_close(intertwine._inverse_phase_sums(g, zero, c, window.phase_tables), at_phase)
 
 
 def test_conjugated_wave_keeps_its_phase_tables_unbiased():

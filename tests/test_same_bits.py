@@ -15,16 +15,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from conftest import two_prod
 from oscwave import dirac, intertwine, make_grid, special
-
-
-def _two_prod(a, b):
-    # Dekker's product on Veltkamp splits
-    p = a * b
-    ca, cb = 134217729.0 * a, 134217729.0 * b
-    a1, b1 = ca - (ca - a), cb - (cb - b)
-    a2, b2 = a - a1, b - b1
-    return p, ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
 
 
 def _unit_phase_formula(turns):
@@ -35,7 +27,7 @@ def _unit_phase_formula(turns):
                        np.array_split(out, blocks)):
         lo = k & 2047
         hi = (k - lo).astype(float)
-        p, e = _two_prod(hi, rad[0])
+        p, e = two_prod(hi, rad[0])
         theta = p + (e + (hi * rad[1] + lo * rad[0]))
         np.cos(theta, out=part[:, 0])
         np.sin(theta, out=part[:, 1])
